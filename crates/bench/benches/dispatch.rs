@@ -1,26 +1,20 @@
 //! **E13 — dispatch decomposition: move-free shared-batch publish**
 //! (the PR's acceptance experiment; see `crates/bench/NOTES.md`).
 //!
-//! Decomposes the software-dispatch producer path into its stages and
-//! compares the two publish protocols over identical inputs, workers ∈
-//! {1, 2, 4, 8}:
+//! Decomposes the software-dispatch producer path into its stages,
+//! workers ∈ {1, 2, 4, 8}:
 //!
 //! * `split_only` — the counting-sort index split plus the shared-parent
 //!   wrap (`shard_split` → `into_shared`), no ring traffic: what the
 //!   dispatch thread pays *before* any publish.
-//! * `publish_owned` — the pre-PR protocol held as a baseline
-//!   ([`ShardedPipeline::dispatch_owned`]): split, then re-materialise
-//!   every shard's packets into owned pooled sub-batches
-//!   (`into_shard_batches_pooled`, one `Packet` move per packet) and
-//!   one gate transaction + ring write per sub-batch.
 //! * `publish_shared` — the move-free protocol
 //!   ([`ShardedPipeline::dispatch`]): split, wrap the parent once, then
 //!   a single gate transaction covering the whole fan-out and one
 //!   refcount-bump descriptor write per target ring. The packet moves
 //!   happen later, on the workers (`SharedShardRange::take_into`).
-//! * `full_owned` / `full_shared` — the same two protocols plus a
-//!   `flush` barrier per iteration: end-to-end cost including worker
-//!   service time, the number the e6 scaling series reports.
+//! * `full_shared` — the same protocol plus a `flush` barrier per
+//!   iteration: end-to-end cost including worker service time, the
+//!   number the e6 scaling series reports.
 //!
 //! The publish-only series deliberately do **not** flush inside the
 //! measured routine — the rings are sized deep (`RING`) so the producer
@@ -90,24 +84,6 @@ fn bench_dispatch(c: &mut Criterion) {
         let spec = ShardSpec::new(workers).with_ring_capacity(RING);
         let (pipe, _sinks) = netkit_sharded_chain(CHAIN, spec).expect("rig");
 
-        // Producer-side cost of the owned-move baseline protocol.
-        group.bench_with_input(
-            BenchmarkId::new("publish_owned", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    clone_bursts,
-                    |batches| {
-                        for batch in batches {
-                            pipe.dispatch_owned(batch);
-                        }
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-        pipe.flush(); // drain the backlog before the next series
-
         // Producer-side cost of the shared fan-out protocol.
         group.bench_with_input(
             BenchmarkId::new("publish_shared", workers),
@@ -128,18 +104,6 @@ fn bench_dispatch(c: &mut Criterion) {
 
         // End-to-end: publish plus the flush barrier (worker service
         // time included — producer/worker overlap needs real cores).
-        group.bench_with_input(BenchmarkId::new("full_owned", workers), &workers, |b, _| {
-            b.iter_batched(
-                clone_bursts,
-                |batches| {
-                    for batch in batches {
-                        pipe.dispatch_owned(batch);
-                    }
-                    pipe.flush();
-                },
-                BatchSize::SmallInput,
-            )
-        });
         group.bench_with_input(
             BenchmarkId::new("full_shared", workers),
             &workers,

@@ -292,39 +292,9 @@ fn bench_shards(c: &mut Criterion) {
         );
         pipe.shutdown();
 
-        // Steering-only floor, owned variant: the RSS partition into
-        // owned sub-batches with no pool at all — what the dispatch
-        // thread itself pays per batch before any ring/wakeup cost.
-        // (Since PR 3 this routes through the index-based split and
-        // only then re-materialises; `partition_only_zero_copy` below
-        // stops at the split.)
-        group.bench_with_input(
-            BenchmarkId::new("partition_only", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || {
-                        bursts
-                            .iter()
-                            .map(|pkts| PacketBatch::from_packets(pkts.clone()))
-                            .collect::<Vec<_>>()
-                    },
-                    |batches| {
-                        for batch in batches {
-                            criterion::black_box(batch.partition_by_shard(workers));
-                        }
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-
         // Zero-copy steering floor: the index-based split
         // (`shard_split` — counting sort over stamped hashes, borrowing
-        // views, no sub-batch re-materialisation). Compare against
-        // `partition_only` above (which still pays the owned
-        // re-materialisation through `into_shard_batches`) and the PR 2
-        // numbers in NOTES.md; the acceptance bar is ≥2x at 4 shards.
+        // views, no sub-batch re-materialisation).
         group.bench_with_input(
             BenchmarkId::new("partition_only_zero_copy", workers),
             &workers,
@@ -400,43 +370,6 @@ fn bench_shards(c: &mut Criterion) {
                 b.iter(|| rx_cycle(&plain_nic, &mut || PacketBatch::with_capacity(BATCH)));
             },
         );
-
-        // Dispatch-only floor: identical partition + ring fan-out into
-        // no-op workers. The gap between this and `netkit_sharded` is
-        // pure per-shard service time — the component that divides by
-        // the worker count on real multi-core hardware. NOTES.md uses
-        // this decomposition to model the scaling curve when the bench
-        // host has fewer cores than shards.
-        let noop =
-            netkit_kernel::shard::WorkerPool::start(spec, |_| Box::new(|_batch: PacketBatch| {}));
-        group.bench_with_input(
-            BenchmarkId::new("dispatch_only", workers),
-            &workers,
-            |b, _| {
-                b.iter_batched(
-                    || {
-                        bursts
-                            .iter()
-                            .map(|pkts| PacketBatch::from_packets(pkts.clone()))
-                            .collect::<Vec<_>>()
-                    },
-                    |batches| {
-                        for batch in batches {
-                            for (shard, part) in
-                                batch.partition_by_shard(workers).into_iter().enumerate()
-                            {
-                                if !part.is_empty() {
-                                    let _ = noop.submit(shard, part);
-                                }
-                            }
-                        }
-                        noop.flush();
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-        noop.shutdown();
 
         // Click replicas behind the same spec and steering.
         let click =

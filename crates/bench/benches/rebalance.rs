@@ -147,7 +147,15 @@ fn bench_elephant(c: &mut Criterion) {
         // measured steady state runs the planned table.
         let (pipe, _sinks) = netkit_sharded_chain(CHAIN, spec).expect("rig");
         drive(&pipe, &skewed); // profiling window
-        let outcome = pipe.rebalance(&RebalancePolicy::default(), &[]);
+        let mut ctl = RebalanceController::new(
+            WeightedRebalancePolicy {
+                base: RebalancePolicy::default(),
+                pressure_weight: 0.0,
+                decay: 1.0,
+            },
+            0,
+        );
+        let outcome = pipe.control_turn(&mut ctl, &[]);
         if workers > 1 {
             let (plan, _) = outcome.expect("full colocation must trigger");
             assert!(plan.imbalance_after < plan.imbalance_before);

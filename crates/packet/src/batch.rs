@@ -216,33 +216,6 @@ impl PacketBatch {
         }
     }
 
-    /// Splits the batch into `shards` sub-batches by RSS flow affinity
-    /// — the software analogue of a multi-queue NIC spreading flows
-    /// over receive queues.
-    ///
-    /// This is the *owned* convenience over [`Self::shard_split`]: it
-    /// re-materialises one `PacketBatch` per shard. Prefer the
-    /// [`ShardSplit`] views when sub-batches only need to be *read*,
-    /// and [`ShardSplit::into_shard_batches_pooled`] when the owned
-    /// sub-batches should come from a recycled-container pool.
-    ///
-    /// Steering follows [`crate::flow::shard_of`] (stamped RSS hash,
-    /// else one parse — which this call stamps back, so repeated splits
-    /// never re-parse), with non-flow packets (ARP, malformed frames)
-    /// parked on shard 0. The result always holds exactly
-    /// `max(shards, 1)` batches (some possibly empty) — `0` and `1`
-    /// shards are equivalent —, no packet is lost or duplicated,
-    /// relative order *within each shard* — and therefore within each
-    /// flow, since a flow maps to exactly one shard — matches the input
-    /// batch, and per-packet labels survive (the sub-batches share the
-    /// parent's label table).
-    pub fn partition_by_shard(self, shards: usize) -> Vec<PacketBatch> {
-        if shards <= 1 {
-            return vec![self];
-        }
-        self.shard_split(shards).into_shard_batches()
-    }
-
     /// Steers the batch over `shards` shards **in place**: one
     /// counting-sort pass computes a permutation and per-shard offset
     /// table; no packet moves, no label re-interns, no per-shard `Vec`
@@ -483,21 +456,12 @@ impl ShardSplit {
         (0..self.shards()).map(|s| self.shard(s))
     }
 
-    /// Moves the packets out into `max(shards, 1)` owned sub-batches —
-    /// the escape hatch for callers (worker rings, cross-thread
-    /// hand-off) that truly need owned `PacketBatch`es. One pass, each
-    /// sub-batch pre-sized exactly; labels survive by sharing the
-    /// parent's interned table (no re-interning).
-    pub fn into_shard_batches(self) -> Vec<PacketBatch> {
-        self.into_batches_with(|_| PacketBatch::new())
-    }
-
     /// Converts the split into a **shared** split: the parent batch
     /// stays whole behind one refcounted handle, and each shard's slice
     /// becomes a cheap [`SharedShardRange`] descriptor that can cross a
     /// thread boundary without moving a single packet. This is the
     /// move-free ring protocol's producer half: where
-    /// [`Self::into_shard_batches_pooled`] re-materialises one owned
+    /// [`Self::into_shard_batches`] re-materialises one owned
     /// sub-batch per shard *on the dispatch thread*, `into_shared`
     /// defers the per-shard gather to the consuming workers
     /// ([`SharedShardRange::take_into`]), which run it in parallel.
@@ -513,14 +477,15 @@ impl ShardSplit {
         }
     }
 
-    /// Like [`Self::into_shard_batches`], but the sub-batch containers
-    /// lease from `pool`, so in steady state the per-shard `Vec`s are
-    /// recycled rather than allocated.
-    pub fn into_shard_batches_pooled(self, pool: &BatchPool) -> Vec<PacketBatch> {
-        self.into_batches_with(|_| pool.take())
-    }
-
-    fn into_batches_with(self, mut make: impl FnMut(usize) -> PacketBatch) -> Vec<PacketBatch> {
+    /// Moves the packets out into `max(shards, 1)` owned sub-batches —
+    /// the escape hatch for callers (worker rings, cross-thread
+    /// hand-off) that truly need owned `PacketBatch`es. One pass, each
+    /// sub-batch pre-sized exactly; no packet is lost or duplicated,
+    /// relative order within each shard (and so within each flow)
+    /// matches the input, and labels survive by sharing the parent's
+    /// interned table (no re-interning). A pool-homed parent container
+    /// recycles whole.
+    pub fn into_shard_batches(self) -> Vec<PacketBatch> {
         let shards = self.shards();
         let Self {
             mut batch,
@@ -537,7 +502,7 @@ impl ShardSplit {
         let has_labels = !batch.labels.is_empty();
         let mut out: Vec<PacketBatch> = (0..shards)
             .map(|s| {
-                let mut b = make(s);
+                let mut b = PacketBatch::new();
                 let len = (offsets[s + 1] - offsets[s]) as usize;
                 b.packets.reserve(len);
                 if has_labels {
@@ -1108,7 +1073,7 @@ mod tests {
         b.set_label(2, marked);
         b.set_label(5, marked);
         let keys: Vec<FlowKey> = b.iter().map(|p| FlowKey::from_packet(p).unwrap()).collect();
-        let parts = b.partition_by_shard(3);
+        let parts = b.shard_split(3).into_shard_batches();
         assert_eq!(parts.len(), 3);
         let mut seen = 0usize;
         for (shard, part) in parts.iter().enumerate() {
@@ -1143,12 +1108,15 @@ mod tests {
         b.push(pkt(2));
         let l = b.intern("x");
         b.set_label(0, l);
-        let mut parts = b.partition_by_shard(1);
+        let mut parts = b.shard_split(1).into_shard_batches();
         assert_eq!(parts.len(), 1);
         let only = parts.pop().unwrap();
         assert_eq!(only.len(), 2);
         assert_eq!(only.label_of(0), Some("x"));
-        assert_eq!(PacketBatch::new().partition_by_shard(0).len(), 1);
+        assert_eq!(
+            PacketBatch::new().shard_split(0).into_shard_batches().len(),
+            1
+        );
     }
 
     #[test]
@@ -1171,7 +1139,7 @@ mod tests {
         let split = b.shard_split(4);
         assert_eq!(split.shards(), 4);
         assert_eq!(split.len(), 16);
-        let owned = reference.partition_by_shard(4);
+        let owned = reference.shard_split(4).into_shard_batches();
         for (view, own) in split.views().zip(&owned) {
             assert_eq!(view.len(), own.len());
             for i in 0..view.len() {
@@ -1295,25 +1263,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_split_reuses_shard_containers() {
-        let pool = BatchPool::new(8, 0, 8);
-        for round in 0..3 {
-            let mut b = PacketBatch::new();
-            for p in 1u16..=8 {
-                b.push(pkt(p));
-            }
-            let parts = b.shard_split(2).into_shard_batches_pooled(&pool);
-            assert_eq!(parts.iter().map(PacketBatch::len).sum::<usize>(), 8);
-            drop(parts);
-            if round > 0 {
-                assert!(pool.stats().reused > 0, "containers recycle across rounds");
-            }
-        }
-        // Steady state: only the first round allocated.
-        assert_eq!(pool.stats().allocated, 2);
-    }
-
-    #[test]
     fn split_recycles_the_parent_container_too() {
         // Regression: a pool-homed batch that goes through
         // shard_split → into_shard_batches must return its own backing
@@ -1326,17 +1275,17 @@ mod tests {
             for p in 1u16..=8 {
                 parent.push(pkt(p));
             }
-            let parts = parent.shard_split(2).into_shard_batches_pooled(&pool);
-            drop(parts);
+            let parts = parent.shard_split(2).into_shard_batches();
+            assert_eq!(parts.iter().map(PacketBatch::len).sum::<usize>(), 8);
             let s = pool.stats();
             assert_eq!(
                 s.discarded, 0,
                 "round {round}: parent must not be discarded"
             );
-            // Parent + 2 sub-containers recycle every round.
-            assert_eq!(s.recycled, (round + 1) * 3);
+            // The parent recycles every round.
+            assert_eq!(s.recycled, round + 1);
         }
-        assert_eq!(pool.stats().allocated, 3, "steady state after round 1");
+        assert_eq!(pool.stats().allocated, 1, "steady state after round 1");
     }
 
     #[test]
@@ -1406,7 +1355,7 @@ mod tests {
             b.set_label(9, l);
             b
         };
-        let owned = build().partition_by_shard(4);
+        let owned = build().shard_split(4).into_shard_batches();
         let shared = build().shard_split(4).into_shared();
         assert_eq!(shared.shards(), 4);
         assert_eq!(shared.len(), 16);

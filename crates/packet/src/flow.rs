@@ -15,17 +15,6 @@ use parking_lot::Mutex;
 use crate::headers::{proto, EtherType};
 use crate::packet::Packet;
 
-/// Legacy annotation key for the RSS flow hash.
-///
-/// Superseded by the dedicated
-/// [`PacketMeta::rss_hash`](crate::packet::PacketMeta::rss_hash) field:
-/// `annotate(RSS_ANNOTATION, h)` and `annotation(RSS_ANNOTATION)` are
-/// shimmed onto that field, so old callers keep working, but new code
-/// should read and write the field directly (no string compare, no
-/// table walk).
-#[deprecated(note = "use PacketMeta::rss_hash directly")]
-pub const RSS_ANNOTATION: &str = "rss";
-
 /// The shard a packet steers to under `shards` receive queues with the
 /// **identity** bucket table: the driver-stamped
 /// [`PacketMeta::rss_hash`](crate::packet::PacketMeta::rss_hash) when
@@ -616,21 +605,6 @@ mod tests {
         let mut arp = Packet::from_slice(&[0u8; 14]);
         assert_eq!(stamp_rss(&mut arp), None);
         assert_eq!(arp.meta.rss_hash, None);
-    }
-
-    #[test]
-    fn legacy_rss_annotation_shims_onto_the_field() {
-        #[allow(deprecated)]
-        const KEY: &str = RSS_ANNOTATION;
-        let mut pkt = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
-        // Old-style writers land on the new field…
-        pkt.meta.annotate("rss", 42);
-        assert_eq!(pkt.meta.rss_hash, Some(42));
-        // …and old-style readers see field writes.
-        pkt.meta.rss_hash = Some(43);
-        assert_eq!(pkt.meta.annotation(KEY), Some(43));
-        // The shimmed key never occupies a table slot.
-        assert!(pkt.meta.annotations().is_empty());
     }
 
     #[test]

@@ -61,34 +61,22 @@ impl PacketMeta {
     /// Sets (or overwrites) an annotation. The table stays sorted by
     /// key, so repeated writes cost one binary search each instead of a
     /// linear scan per call.
-    ///
-    /// The legacy `"rss"` key (see [`crate::flow::RSS_ANNOTATION`]) is
-    /// forwarded to the dedicated [`Self::rss_hash`] field.
     pub fn annotate(&mut self, key: &'static str, value: u64) {
-        if key == "rss" {
-            self.rss_hash = Some(value);
-            return;
-        }
         match self.annotations.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(pos) => self.annotations[pos].1 = value,
             Err(pos) => self.annotations.insert(pos, (key, value)),
         }
     }
 
-    /// Reads an annotation (the legacy `"rss"` key reads
-    /// [`Self::rss_hash`]).
+    /// Reads an annotation.
     pub fn annotation(&self, key: &str) -> Option<u64> {
-        if key == "rss" {
-            return self.rss_hash;
-        }
         self.annotations
             .binary_search_by_key(&key, |(k, _)| *k)
             .ok()
             .map(|pos| self.annotations[pos].1)
     }
 
-    /// All annotations, sorted by key. (The shimmed `"rss"` key lives
-    /// in [`Self::rss_hash`], not here.)
+    /// All annotations, sorted by key.
     pub fn annotations(&self) -> &[(&'static str, u64)] {
         &self.annotations
     }

@@ -39,6 +39,7 @@ use opencom::runtime::Runtime;
 
 use netkit_kernel::shard::ShardSpec;
 use netkit_packet::sketch::{FlowSketch, SketchConfig};
+use netkit_packet::steer::BucketMap;
 
 use crate::api::{
     register_packet_interfaces, FilterId, FilterSpec, IClassifier, IPacketPush, IPACKET_PUSH,
@@ -46,7 +47,7 @@ use crate::api::{
 use crate::elements::IRouteControl;
 use crate::flow::L4LoadBalancer;
 use crate::routing::RouteEntry;
-use crate::shard::{RebalanceController, ShardGraph, ShardedPipeline, SoloPipeline};
+use crate::shard::{RebalanceController, ShardCore, ShardGraph, ShardedPipeline, SoloPipeline};
 
 use super::schema;
 use super::{EdgeDesc, Patch, PatchOp, PipelineDesc, TableEntry};
@@ -341,37 +342,19 @@ impl Compiler {
         spec: ShardSpec,
         rm: Arc<ResourceManager>,
     ) -> Result<(ShardedPipeline, DescBinding)> {
-        let desc = desc.canonical();
-        desc.validate_with(&self.external_kinds())?;
-        let workers = spec.workers.max(1);
-        let shards: Arc<Mutex<Vec<Option<CompiledShard>>>> =
-            Arc::new(Mutex::new((0..workers).map(|_| None).collect()));
-        let slot = Arc::clone(&shards);
-        let build_desc = desc.clone();
-        let externals = self.externals.clone();
-        let pipe = ShardedPipeline::build(&desc.name, spec, rm, move |shard| {
-            let sketch = Arc::new(FlowSketch::new(SketchConfig::default()));
-            let (graph, compiled) = CompiledShard::build(&build_desc, shard, sketch, &externals)?;
-            slot.lock().expect("desc shard slot")[shard] = Some(compiled);
-            Ok(graph)
+        let (factory, binding) = self.compile(desc, spec, |_| {
+            Arc::new(FlowSketch::new(SketchConfig::default()))
         })?;
-        let pins: Vec<(usize, usize)> = desc.pins.iter().map(|(&b, &s)| (b, s)).collect();
-        if !pins.is_empty() {
-            let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            pipe.install_bucket_map(map, &[]);
+        let pipe = ShardedPipeline::build(&binding.desc.name, spec, rm, factory)?;
+        if !binding.desc.pins.is_empty() {
+            pipe.install_bucket_map(pinned_map(&binding.desc, pipe.bucket_map())?, &[]);
         }
-        Ok((
-            pipe,
-            DescBinding {
-                desc,
-                externals: self.externals.clone(),
-                shards,
-            },
-        ))
+        Ok((pipe, binding))
     }
 
-    /// Compiles `desc` to a deterministic [`SoloPipeline`] with fresh
-    /// per-shard sketches.
+    /// Compiles `desc` to a deterministic [`SoloPipeline`]. Guards
+    /// described in the pipeline read the same per-shard sketches the
+    /// driver meters, so their byte evidence is live.
     ///
     /// # Errors
     ///
@@ -382,66 +365,57 @@ impl Compiler {
         spec: ShardSpec,
         rm: Arc<ResourceManager>,
     ) -> Result<(SoloPipeline, DescBinding)> {
-        let workers = spec.workers.max(1);
-        let sketches = (0..workers)
-            .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
-            .collect();
-        self.build_solo_with_sketches(desc, spec, rm, sketches)
+        let sketches = ShardCore::fresh_sketches(spec);
+        let guard_sketches = sketches.clone();
+        let (factory, binding) =
+            self.compile(desc, spec, move |shard| Arc::clone(&guard_sketches[shard]))?;
+        let mut pipe =
+            SoloPipeline::build_with_sketches(&binding.desc.name, spec, rm, sketches, factory)?;
+        if !binding.desc.pins.is_empty() {
+            pipe.install_bucket_map(pinned_map(&binding.desc, pipe.bucket_map())?);
+        }
+        Ok((pipe, binding))
     }
 
-    /// Compiles `desc` to a [`SoloPipeline`] over caller-supplied
-    /// sketches — guards described in the pipeline share the same
-    /// sketches the driver meters, so byte evidence is live.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::build_sharded`].
-    pub fn build_solo_with_sketches(
+    /// Validates `desc` and returns the shard factory either driver
+    /// builds from (each call compiles one shard, its guards reading
+    /// `sketch_for(shard)`) plus the binding that records what it built.
+    #[allow(clippy::type_complexity)]
+    fn compile(
         &self,
         desc: &PipelineDesc,
         spec: ShardSpec,
-        rm: Arc<ResourceManager>,
-        sketches: Vec<Arc<FlowSketch>>,
-    ) -> Result<(SoloPipeline, DescBinding)> {
+        sketch_for: impl Fn(usize) -> Arc<FlowSketch> + Send + 'static,
+    ) -> Result<(
+        impl FnMut(usize) -> Result<ShardGraph> + Send + 'static,
+        DescBinding,
+    )> {
         let desc = desc.canonical();
         desc.validate_with(&self.external_kinds())?;
-        let workers = spec.workers.max(1);
         let shards: Arc<Mutex<Vec<Option<CompiledShard>>>> =
-            Arc::new(Mutex::new((0..workers).map(|_| None).collect()));
+            Arc::new(Mutex::new((0..spec.workers.max(1)).map(|_| None).collect()));
         let slot = Arc::clone(&shards);
-        let mut pipe =
-            SoloPipeline::build_with_sketches(&desc.name, spec, rm, sketches.clone(), |shard| {
-                let (graph, compiled) = CompiledShard::build(
-                    &desc,
-                    shard,
-                    Arc::clone(&sketches[shard]),
-                    &self.externals,
-                )?;
-                slot.lock().expect("desc shard slot")[shard] = Some(compiled);
-                Ok(graph)
-            })?;
-        let pins: Vec<(usize, usize)> = desc.pins.iter().map(|(&b, &s)| (b, s)).collect();
-        if !pins.is_empty() {
-            let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            pipe.install_bucket_map(map);
-        }
-        Ok((
-            pipe,
-            DescBinding {
-                desc,
-                externals: self.externals.clone(),
-                shards,
-            },
-        ))
+        let build_desc = desc.clone();
+        let externals = self.externals.clone();
+        let factory = move |shard| {
+            let (graph, compiled) =
+                CompiledShard::build(&build_desc, shard, sketch_for(shard), &externals)?;
+            slot.lock().expect("desc shard slot")[shard] = Some(compiled);
+            Ok(graph)
+        };
+        let binding = DescBinding {
+            desc,
+            externals: self.externals.clone(),
+            shards,
+        };
+        Ok((factory, binding))
     }
 }
 
-fn pinned_map(
-    base: netkit_packet::steer::BucketMap,
-    pins: &[(usize, usize)],
-    workers: usize,
-) -> Result<netkit_packet::steer::BucketMap> {
-    for &(bucket, shard) in pins {
+/// The steering table `desc`'s pins ask for on top of `base`.
+fn pinned_map(desc: &PipelineDesc, base: BucketMap) -> Result<BucketMap> {
+    let workers = base.shards();
+    for (&bucket, &shard) in &desc.pins {
         if shard >= workers {
             return Err(Error::CfViolation {
                 framework: "desc".to_owned(),
@@ -449,7 +423,8 @@ fn pinned_map(
             });
         }
     }
-    Ok(base.with_pins(pins))
+    let pins: Vec<(usize, usize)> = desc.pins.iter().map(|(&b, &s)| (b, s)).collect();
+    Ok(base.with_pins(&pins))
 }
 
 /// What applying a patch actually did — the receipts the benchmarks
@@ -557,29 +532,18 @@ impl DescBinding {
         self.check_patch(patch)?;
         let epoch_before = pipe.epoch();
         let mut report = ApplyReport::default();
+        let mut apply = || {
+            self.apply_ops(patch, &mut report, |shard, entry| {
+                pipe.set_entry(shard, entry)
+            })
+        };
         if patch.requires_quiesce() {
-            pipe.quiesce(|| -> Result<()> {
-                let swaps = self.apply_ops(patch, &mut report)?;
-                for (shard, entry) in swaps {
-                    pipe.set_entry(shard, entry);
-                    report.entry_swaps += 1;
-                }
-                Ok(())
-            })?;
+            pipe.quiesce(apply)?;
         } else {
-            let swaps = self.apply_ops(patch, &mut report)?;
-            for (shard, entry) in swaps {
-                pipe.set_entry(shard, entry);
-                report.entry_swaps += 1;
-            }
+            apply()?;
         }
-        if patch.steering_changed() {
-            let workers = pipe.spec().workers.max(1);
-            let pins: Vec<(usize, usize)> =
-                patch.to_desc().pins.iter().map(|(&b, &s)| (b, s)).collect();
-            let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            let migration = pipe.install_bucket_map(map, &[]);
-            report.moved_buckets = migration.moved_buckets;
+        if let Some(map) = self.steering_patch(patch, pipe.bucket_map())? {
+            report.moved_buckets = pipe.install_bucket_map(map, &[]).moved_buckets;
         }
         self.desc = patch.to_desc().clone();
         report.epochs = pipe.epoch() - epoch_before;
@@ -596,30 +560,33 @@ impl DescBinding {
     pub fn apply_solo(&mut self, pipe: &mut SoloPipeline, patch: &Patch) -> Result<ApplyReport> {
         self.check_patch(patch)?;
         let mut report = ApplyReport::default();
-        let swaps = self.apply_ops(patch, &mut report)?;
-        for (shard, entry) in swaps {
-            pipe.set_entry(shard, entry);
-            report.entry_swaps += 1;
-        }
-        if patch.steering_changed() {
-            let workers = pipe.workers();
-            let pins: Vec<(usize, usize)> =
-                patch.to_desc().pins.iter().map(|(&b, &s)| (b, s)).collect();
-            let map = pinned_map(pipe.bucket_map(), &pins, workers)?;
-            let migration = pipe.install_bucket_map(map);
-            report.moved_buckets = migration.moved_buckets;
+        self.apply_ops(patch, &mut report, |shard, entry| {
+            pipe.set_entry(shard, entry)
+        })?;
+        if let Some(map) = self.steering_patch(patch, pipe.bucket_map())? {
+            report.moved_buckets = pipe.install_bucket_map(map).moved_buckets;
         }
         self.desc = patch.to_desc().clone();
         Ok(report)
     }
 
-    /// Executes the patch's element/table ops on every compiled shard
-    /// and returns the pending ingress swaps.
+    /// The re-pinned steering table a patch asks for, if it changes
+    /// steering at all.
+    fn steering_patch(&self, patch: &Patch, base: BucketMap) -> Result<Option<BucketMap>> {
+        if !patch.steering_changed() {
+            return Ok(None);
+        }
+        pinned_map(patch.to_desc(), base).map(Some)
+    }
+
+    /// Executes the patch's element/table ops on every compiled shard,
+    /// then hands each changed ingress to `set_entry`.
     fn apply_ops(
-        &mut self,
+        &self,
         patch: &Patch,
         report: &mut ApplyReport,
-    ) -> Result<Vec<(usize, Arc<dyn IPacketPush>)>> {
+        mut set_entry: impl FnMut(usize, Arc<dyn IPacketPush>),
+    ) -> Result<()> {
         let to = patch.to_desc();
         let mut swaps = Vec::new();
         let mut shards = self.shards.lock().expect("desc shard slot");
@@ -732,6 +699,10 @@ impl DescBinding {
                 touched = false;
             }
         }
-        Ok(swaps)
+        for (shard, entry) in swaps {
+            set_entry(shard, entry);
+            report.entry_swaps += 1;
+        }
+        Ok(())
     }
 }

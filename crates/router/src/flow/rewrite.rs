@@ -4,11 +4,12 @@
 //! of a frame *in place* — no reallocation, no re-serialisation — and
 //! patch the IPv4 header checksum and the TCP/UDP checksum with RFC
 //! 1624 incremental updates, so a valid frame stays valid and an
-//! unset UDP checksum (zero) stays unset.
+//! unset UDP checksum (zero) stays unset. TCP has no unset checksum:
+//! 0x0000 is a valid TCP value and is updated like any other.
 
 use std::net::Ipv4Addr;
 
-use netkit_packet::checksum::incremental_update;
+use netkit_packet::checksum::{fold, incremental_update};
 use netkit_packet::headers::proto;
 use netkit_packet::packet::Packet;
 
@@ -33,15 +34,22 @@ fn wr16(b: &mut [u8], off: usize, v: u16) {
     b[off..off + 2].copy_from_slice(&v.to_be_bytes());
 }
 
-/// Patches a checksum field at `off` for one changed 16-bit word,
-/// unless the field is zero (UDP "no checksum") or `skip_zero` is
-/// false for the protocol in hand.
-fn patch_checksum(b: &mut [u8], off: usize, old_word: u16, new_word: u16) {
+/// Patches the L4 checksum at `off` for every changed 16-bit word
+/// `(old, new)` in one RFC 1624 update (`HC' = ~(~HC + Σ(~m + m'))`),
+/// so no intermediate value is ever inspected. A UDP checksum of 0
+/// means "not computed" and is left alone; a computed UDP result of 0
+/// is written as 0xFFFF, its one's-complement equal (RFC 768).
+fn patch_l4_checksum(b: &mut [u8], off: usize, udp: bool, changes: &[(u16, u16)]) {
     let cur = rd16(b, off);
-    if cur == 0 {
-        return; // checksum not in use (UDP) / not maintained by the producer
+    if udp && cur == 0 {
+        return;
     }
-    wr16(b, off, incremental_update(cur, old_word, new_word));
+    let mut sum = u32::from(!cur);
+    for &(old, new) in changes {
+        sum += u32::from(!old) + u32::from(new);
+    }
+    let patched = !fold(sum);
+    wr16(b, off, if udp && patched == 0 { 0xFFFF } else { patched });
 }
 
 /// Rewrites one endpoint (address and, for UDP/TCP, port) of an
@@ -96,9 +104,12 @@ pub fn rewrite_ipv4_endpoint(
         };
         let old_port = rd16(frame, port_off);
         wr16(frame, port_off, new_port);
-        patch_checksum(frame, ck, old_hi, new_hi);
-        patch_checksum(frame, ck, old_lo, new_lo);
-        patch_checksum(frame, ck, old_port, new_port);
+        patch_l4_checksum(
+            frame,
+            ck,
+            protocol == proto::UDP,
+            &[(old_hi, new_hi), (old_lo, new_lo), (old_port, new_port)],
+        );
     }
     pkt.meta.rss_hash = None;
     true

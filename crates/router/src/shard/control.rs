@@ -1,11 +1,11 @@
 //! The autonomous reflective control loop: inspect → decide → adapt
 //! with **no external caller**.
 //!
-//! PR 4's rebalancing subsystem shipped the three arms of the paper's
-//! reflective loop — meters to *inspect*, a policy to *decide*, a
-//! quiesced migration to *adapt* — but left the loop open: something
-//! outside the system had to call `ShardedPipeline::rebalance`. This
-//! module closes it. Two layers, deliberately separated:
+//! The three arms of the paper's reflective loop — meters to
+//! *inspect*, a policy to *decide*, a quiesced migration to *adapt* —
+//! meet in one control turn (`control_turn` on either pipeline driver,
+//! the only rebalancing entry point). This module supplies the two
+//! layers that drive it, deliberately separated:
 //!
 //! * [`RebalanceController`] — the **deterministic decision core**: a
 //!   pure state machine over (observation window, shard pressure,
@@ -16,9 +16,10 @@
 //!   (`cooldown_ticks` between applied plans, so a pathological
 //!   workload cannot thrash the dataplane through quiesce epochs). It
 //!   has no threads and no clock — the deterministic simulator drives
-//!   the *same* controller from its event loop (see
-//!   `netkit_sim::shard::ShardedBehaviour`), which is what makes
-//!   autonomous-rebalancing experiments reproducible.
+//!   the *same* controller through
+//!   [`SoloPipeline::control_turn`](super::SoloPipeline::control_turn) from
+//!   its event loop, which is what makes autonomous-rebalancing
+//!   experiments reproducible.
 //! * [`ControlLoop`] — the **threaded supervisor**: a
 //!   `netkit_kernel::task::PeriodicTask` ticking
 //!   [`ShardedPipeline::control_turn`] against a live pipeline, with
@@ -348,7 +349,7 @@ pub struct ControlStats {
 /// adapts to traffic shifts on its own. See the module docs.
 ///
 /// The loop assumes it is the pipeline's **only** window consumer: do
-/// not mix it with manual `rebalance()` polling on the same pipeline.
+/// not mix it with manual `control_turn` calls on the same pipeline.
 pub struct ControlLoop {
     task: PeriodicTask,
     controller: Arc<Mutex<RebalanceController>>,
@@ -362,7 +363,7 @@ impl ControlLoop {
     /// `classes::TICKS` unit is consumed per turn; migrations count
     /// into the pipeline task's `classes::REBALANCES` as always).
     /// `nics` are the NIC mirrors every applied migration must cover —
-    /// the same slice a manual `rebalance()` caller would pass.
+    /// the same slice a manual `control_turn` caller would pass.
     ///
     /// # Errors
     ///

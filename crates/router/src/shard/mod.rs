@@ -5,31 +5,52 @@
 //! interior mutability, so a graph *could* be driven from many threads —
 //! but then every counter, queue, and receptacle lock becomes a
 //! cross-core contention point, which is exactly what run-to-completion
-//! dataplanes avoid. [`ShardedPipeline`] instead **replicates** the
-//! graph: a factory builds one independent replica (own capsule, own
-//! elements) per worker of a [`ShardSpec`], and an RSS dispatcher
-//! ([`PacketBatch::shard_split`] — a single counting-sort pass over
-//! stamped RSS hashes, no sub-batch re-materialisation) keeps each flow
+//! dataplanes avoid. The graph is instead **replicated**: a factory
+//! builds one independent replica (own capsule, own elements) per shard
+//! of a [`ShardSpec`], and RSS steering ([`PacketBatch::shard_split`] —
+//! a single counting-sort pass over stamped RSS hashes) keeps each flow
 //! on one replica, preserving intra-flow order with zero sharing on the
-//! fast path. The split parent is then *shared*, not moved:
-//! [`ShardedPipeline::dispatch`] publishes one refcounted shard-range
-//! descriptor per ring in a single batched fan-out
-//! ([`WorkerPool::submit_fanout`]), each worker gathers its slice into
-//! a pooled container in parallel, and the parent recycles when the
-//! last range drops. Batch containers come from a [`BatchPool`]
-//! freelist and the NIC pump path ([`ShardedPipeline::pump_nic`])
-//! moves pool-leased frame buffers straight into packets, so
-//! steady-state forwarding is allocation- and move-free per batch on
-//! the dispatch thread.
+//! fast path.
+//!
+//! ## One core, two drivers
+//!
+//! What a shard *does* exists once, in the crate-private
+//! `ShardCore` (`shard/core.rs`): the replica table, the steering
+//! table, the bucket meter and per-shard flow sketches, the per-shard
+//! counters with their cause-tagged drop split, migration bookkeeping
+//! and resource billing, plus the two code paths — the per-batch run
+//! (meter → entry snapshot → `push_batch` → verdict split → drain) and
+//! the control turn's peek → decide → commit. Two drivers decide only
+//! *where* that program runs:
+//!
+//! * [`ShardedPipeline`] runs each shard on its own worker thread. The
+//!   split parent is *shared*, not moved:
+//!   [`ShardedPipeline::dispatch`] publishes one refcounted
+//!   shard-range descriptor per ring in a single batched fan-out
+//!   ([`WorkerPool::submit_fanout`]), each worker gathers its slice
+//!   into a pooled container, and the parent recycles when the last
+//!   range drops. The NIC pump path ([`ShardedPipeline::pump_nic`])
+//!   moves pool-leased frame buffers straight into packets, so
+//!   steady-state forwarding is allocation- and move-free per batch on
+//!   the dispatch thread. On top of the core it adds the epoch quiesce,
+//!   NIC re-steer on migration, and crash recovery
+//!   ([`ShardedPipeline::health_turn`]).
+//! * [`SoloPipeline`] runs the shards in index order on the caller's
+//!   thread, so a run is bit-for-bit reproducible — the simulator's
+//!   entry into the real dataplane. It does not model ring-full,
+//!   dead-worker or re-steer-shed drops (there are no rings and
+//!   nothing can die on the caller's thread), ring pressure
+//!   (`in_flight` and `ring_high_water` read 0), or quiesce epochs (a
+//!   migration's `epoch` counts applied migrations instead).
 //!
 //! Two things keep the replicas *one component* in the reflective
 //! model's eyes:
 //!
 //! * **Resource rollup** — the pipeline owns a single task in
-//!   [`ResourceManager`]; every worker's packet count rolls up into that
-//!   task's `packets` usage (lazily, at [`ShardedPipeline::flush`] /
-//!   [`ShardedPipeline::stats`] time, so the hot path never touches the
-//!   manager's locks). Introspection sees one task, one usage figure.
+//!   [`ResourceManager`]; every shard's packet count rolls up into that
+//!   task's `packets` usage (lazily, at `flush` / `stats` time, so the
+//!   per-batch path never touches the manager's locks). Introspection
+//!   sees one task, one usage figure.
 //! * **Atomic reconfiguration** — [`ShardedPipeline::quiesce`] runs a
 //!   closure under the worker pool's epoch barrier
 //!   ([`WorkerPool::quiesce`]): every worker is parked at a batch
@@ -37,24 +58,26 @@
 //!   element, `Capsule::replace` hot swap, classifier filter update)
 //!   applied to each replica inside the closure is indivisible — no
 //!   packet ever sees a half-reconfigured dataplane, and traffic
-//!   submitted meanwhile queues rather than drops.
+//!   submitted meanwhile queues rather than drops. The solo driver's
+//!   caller is always at a batch boundary already.
 //!
 //! ## The steering table and its ownership
 //!
 //! All steering — software dispatch here, hardware-modelled RSS in the
-//! NIC, the sim's demux — goes through one
-//! [`BucketMap`]: 256 hash buckets,
-//! each assigned to a shard. **The pipeline owns the authoritative
-//! copy**; NICs hold mirrors installed by
+//! NIC, the sim's node demux — goes through one [`BucketMap`]: 256 hash
+//! buckets, each assigned to a shard. **The pipeline owns the
+//! authoritative copy**; NICs hold mirrors installed by
 //! [`ShardedPipeline::install_bucket_map`] inside the same quiesce
 //! epoch, so no packet can observe the dispatch table and the NIC
-//! table disagreeing. Per-bucket load meters
-//! ([`BucketLoad`], fed on the
-//! worker side) and per-shard ring occupancy high-water marks feed the
-//! [`rebalance`] policy, which plans a better table when one shard
-//! runs hot and installs it atomically — the reflective
-//! inspect → decide → adapt loop over the running dataplane. See the
-//! [`rebalance`] module docs for the migration ordering contract.
+//! table disagreeing. Per-bucket load meters ([`BucketLoad`]) and
+//! per-shard ring occupancy high-water marks feed the
+//! [`RebalanceController`], whose [`ShardedPipeline::control_turn`]
+//! plans a better table when one shard runs hot and installs it
+//! atomically — the reflective inspect → decide → adapt loop over the
+//! running dataplane. See the [`rebalance`] module docs for the
+//! migration ordering contract.
+//!
+//! [`BucketLoad`]: netkit_packet::steer::BucketLoad
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,20 +86,24 @@ use std::sync::Arc;
 use netkit_kernel::nic::Nic;
 use netkit_kernel::shard::{ShardHandler, ShardJob, ShardSpec, SubmitRejection, WorkerPool};
 use netkit_packet::batch::{BatchPool, PacketBatch};
-use netkit_packet::sketch::{FlowSketch, HeavyHitter, SketchConfig, SpaceSaving};
-use netkit_packet::steer::{BucketLoad, BucketMap, RSS_BUCKETS};
+use netkit_packet::steer::{BucketMap, RSS_BUCKETS};
 use opencom::capsule::Capsule;
 use opencom::error::Result;
-use opencom::ident::{ComponentId, TaskId};
+use opencom::ident::ComponentId;
 use opencom::meta::resources::{classes, ResourceManager};
 use parking_lot::{Mutex, RwLock};
 
-use crate::api::{IPacketPush, PushError};
+use crate::api::IPacketPush;
 
 pub mod control;
+#[macro_use]
+mod core;
 pub mod decision;
 pub mod rebalance;
 pub mod solo;
+
+pub(crate) use self::core::ShardCore;
+use self::core::{Drain, DropCause};
 
 pub use control::{ControlConfig, ControlDecision, ControlLoop, ControlStats, RebalanceController};
 pub use decision::{core_by_name, DecisionCore, Evidence, EwmaCore, HysteresisCore, WeightedCore};
@@ -85,9 +112,9 @@ pub use rebalance::{
 };
 pub use solo::SoloPipeline;
 
-/// A swappable shard entry point: workers re-read it each batch, so a
-/// quiesce closure can retarget a shard's ingress (e.g. after replacing
-/// the head element) with [`ShardedPipeline::set_entry`].
+/// A swappable shard entry point: the shard re-reads it each batch, so
+/// a quiesce closure can retarget a shard's ingress (e.g. after
+/// replacing the head element) with [`ShardedPipeline::set_entry`].
 pub type SharedEntry = Arc<RwLock<Arc<dyn IPacketPush>>>;
 
 /// Packet capacity the pipeline's pooled batch containers are pre-sized
@@ -95,7 +122,7 @@ pub type SharedEntry = Arc<RwLock<Arc<dyn IPacketPush>>>;
 const DISPATCH_BATCH_CAPACITY: usize = 64;
 
 /// One shard's replica of the element graph, as produced by the factory
-/// passed to [`ShardedPipeline::build`].
+/// passed to [`ShardedPipeline::build`] or [`SoloPipeline::build`].
 pub struct ShardGraph {
     /// The capsule hosting this replica (kept alive by the pipeline).
     pub capsule: Arc<Capsule>,
@@ -103,9 +130,9 @@ pub struct ShardGraph {
     pub entry: Arc<dyn IPacketPush>,
     /// Components to attach to the pipeline's rolled-up resources task.
     pub components: Vec<ComponentId>,
-    /// Optional hook run on the worker after each batch — the place to
-    /// drain pull-side stages (schedulers, shapers) into their sinks so
-    /// the shard really runs to completion.
+    /// Optional hook run after each batch — the place to drain
+    /// pull-side stages (schedulers, shapers) into their sinks so the
+    /// shard really runs to completion.
     pub drain: Option<Box<dyn FnMut() + Send>>,
 }
 
@@ -137,28 +164,6 @@ impl fmt::Debug for ShardGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ShardGraph({} components)", self.components.len())
     }
-}
-
-/// Why a dropped packet was dropped — the cause tag every loss
-/// accounting site in the pipeline files its drops under. See
-/// [`DropStats`] for the public roll-up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DropCause {
-    /// Bounced off a full ring on a non-blocking publish.
-    RingFull,
-    /// Publish refused (or work stranded) because the target shard's
-    /// worker died.
-    DeadWorker,
-    /// Shed while a fault-recovery steering patch (quarantine or
-    /// restore — see [`ShardedPipeline::health_turn`]) re-steered
-    /// queued frames.
-    ResteerShed,
-    /// Rate-limited by the inline heavy-hitter guard
-    /// ([`crate::flow::Guard`] — verdict [`PushError::RateLimited`]).
-    Guard,
-    /// Dropped by graph policy (queue tail drop, TTL, no route, …) —
-    /// any element verdict that is not the guard's.
-    Graph,
 }
 
 /// Per-cause drop accounting — the breakdown of [`PipelineStats`]'s
@@ -214,50 +219,6 @@ pub struct FaultRecovery {
     pub shed: u64,
 }
 
-#[derive(Debug, Default)]
-struct ShardCounters {
-    batches: AtomicU64,
-    packets: AtomicU64,
-    accepted: AtomicU64,
-    dropped: AtomicU64,
-    /// Packets already rolled up into the resources task.
-    reported: AtomicU64,
-    drop_ring_full: AtomicU64,
-    drop_dead_worker: AtomicU64,
-    drop_resteer_shed: AtomicU64,
-    drop_guard: AtomicU64,
-    drop_graph: AtomicU64,
-}
-
-impl ShardCounters {
-    /// Files `n` drops under `cause`, keeping the aggregate `dropped`
-    /// meter the exact sum of the cause meters.
-    fn drop_cause(&self, cause: DropCause, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.dropped.fetch_add(n, Ordering::Relaxed);
-        let cell = match cause {
-            DropCause::RingFull => &self.drop_ring_full,
-            DropCause::DeadWorker => &self.drop_dead_worker,
-            DropCause::ResteerShed => &self.drop_resteer_shed,
-            DropCause::Guard => &self.drop_guard,
-            DropCause::Graph => &self.drop_graph,
-        };
-        cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn drop_stats(&self) -> DropStats {
-        DropStats {
-            ring_full: self.drop_ring_full.load(Ordering::Relaxed),
-            dead_worker: self.drop_dead_worker.load(Ordering::Relaxed),
-            resteer_shed: self.drop_resteer_shed.load(Ordering::Relaxed),
-            guard: self.drop_guard.load(Ordering::Relaxed),
-            graph: self.drop_graph.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Aggregate dataplane counters — the single-logical-component view
 /// over all shards.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -292,7 +253,8 @@ pub struct ShardLoad {
 }
 
 /// N per-worker replicas of an element graph behind one dispatch entry,
-/// one stats surface, and one resources task. See the module docs.
+/// one stats surface, and one resources task — the threaded driver of
+/// the shard core. See the module docs.
 ///
 /// # Examples
 ///
@@ -340,45 +302,19 @@ pub struct ShardedPipeline {
     /// run-to-completion pass (shared split parents recycle here too
     /// when their last range drops).
     batch_pool: BatchPool,
-    /// The authoritative bucket → shard table. Readers
-    /// ([`Self::dispatch`], [`Self::pump_nic`], [`Self::submit`]) hold
-    /// the read lock across their ring hand-off; a migration holds the
-    /// write lock across its whole quiesce, which is what serialises
-    /// steering against table swaps (see [`rebalance`]).
-    steering: RwLock<Arc<BucketMap>>,
-    /// Per-bucket packet meters, fed on the worker side (one relaxed
-    /// increment per packet), drained per rebalance window.
-    bucket_load: Arc<BucketLoad>,
-    /// Per-shard flow sketches (count-min + Space-Saving top-k), fed
-    /// on the worker side in **bytes** per flow hash. Where
-    /// `bucket_load` counts packets, these meter byte mass — the
-    /// evidence that catches elephants hiding under uniform packet
-    /// counts. One sketch per shard: each worker writes its own,
-    /// [`Self::heavy_hitters`] merges on the control plane.
-    sketches: Vec<Arc<FlowSketch>>,
-    /// Migration epochs applied via [`Self::install_bucket_map`].
-    migrations: AtomicU64,
+    /// The shard program every worker runs (see the module docs).
+    core: Arc<ShardCore>,
     /// Fault recoveries applied via [`Self::respawn_shard`].
     recoveries: AtomicU64,
-    entries: Vec<SharedEntry>,
-    /// Per-shard capsules, behind locks so [`Self::respawn_shard`] can
-    /// swap in a fresh replica (safe: the shard's worker is dead while
-    /// the swap happens, so nothing races the read side).
-    capsules: Vec<RwLock<Arc<Capsule>>>,
-    /// Per-shard components attached to the rolled-up task — detached
-    /// and replaced when a respawn rebuilds the replica.
-    components: Vec<Mutex<Vec<ComponentId>>>,
     /// The replica factory, retained so [`Self::respawn_shard`] can
     /// rebuild a crashed shard's graph with the same recipe that built
     /// it.
     factory: Mutex<Box<dyn FnMut(usize) -> Result<ShardGraph> + Send>>,
-    counters: Arc<Vec<ShardCounters>>,
-    rm: Arc<ResourceManager>,
-    task: TaskId,
-    spec: ShardSpec,
 }
 
 impl ShardedPipeline {
+    core_surface!();
+
     /// Builds `spec.workers` replicas via `factory(shard)` (called in
     /// shard order), registers the pipeline as one task named `name` in
     /// `rm`, and starts the worker pool.
@@ -395,164 +331,60 @@ impl ShardedPipeline {
     where
         F: FnMut(usize) -> Result<ShardGraph> + Send + 'static,
     {
-        let task = rm.create_task(name)?;
-        let mut entries: Vec<SharedEntry> = Vec::with_capacity(spec.workers);
-        let mut capsules = Vec::with_capacity(spec.workers);
-        let mut components = Vec::with_capacity(spec.workers);
-        let mut drains = Vec::with_capacity(spec.workers);
-        for shard in 0..spec.workers {
-            let graph = factory(shard)?;
-            for component in &graph.components {
-                rm.attach(task, *component)?;
-            }
-            entries.push(Arc::new(RwLock::new(graph.entry)));
-            capsules.push(RwLock::new(graph.capsule));
-            components.push(Mutex::new(graph.components));
-            drains.push(graph.drain);
-        }
-        let counters: Arc<Vec<ShardCounters>> = Arc::new(
-            (0..spec.workers)
-                .map(|_| ShardCounters::default())
-                .collect(),
-        );
-        let worker_entries = entries.clone();
-        let worker_counters = Arc::clone(&counters);
-        let bucket_load = Arc::new(BucketLoad::new());
-        let worker_bucket_load = Arc::clone(&bucket_load);
-        let sketches: Vec<Arc<FlowSketch>> = (0..spec.workers)
-            .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
-            .collect();
-        let worker_sketches = sketches.clone();
-        let mut drains = drains;
+        let sketches = ShardCore::fresh_sketches(spec);
+        let (core, mut drains) = ShardCore::build(name, spec, rm, sketches, &mut factory)?;
+        let core = Arc::new(core);
         // Built before the pool starts: each worker clones a handle so
         // it can gather shared shard ranges into pooled containers.
+        let workers = core.spec.workers;
         let batch_pool = BatchPool::new(
             DISPATCH_BATCH_CAPACITY,
-            spec.workers.saturating_mul(4),
-            spec.workers.saturating_mul(8).max(16),
+            workers.saturating_mul(4),
+            workers.saturating_mul(8).max(16),
         );
-        let worker_batch_pool = batch_pool.clone();
-        let pool = WorkerPool::start(spec, move |shard| {
-            Self::make_handler(
-                shard,
-                Arc::clone(&worker_entries[shard]),
-                Arc::clone(&worker_counters),
-                worker_batch_pool.clone(),
-                // A single-worker pipeline never rebalances (there is
-                // nowhere to move a bucket), and its dispatch fast path
-                // skips the split that stamps RSS hashes — metering
-                // there would re-parse headers per packet for evidence
-                // nobody can act on. Meter only when sharded.
-                (spec.workers > 1).then(|| Arc::clone(&worker_bucket_load)),
-                (spec.workers > 1).then(|| Arc::clone(&worker_sketches[shard])),
-                drains[shard].take(),
-            )
-        });
+        let pool = {
+            let core = Arc::clone(&core);
+            let gather_pool = batch_pool.clone();
+            WorkerPool::start(core.spec, move |shard| {
+                Self::make_handler(
+                    Arc::clone(&core),
+                    shard,
+                    gather_pool.clone(),
+                    drains[shard].take(),
+                )
+            })
+        };
         Ok(Self {
             pool,
             batch_pool,
-            steering: RwLock::new(Arc::new(BucketMap::identity(spec.workers))),
-            bucket_load,
-            sketches,
-            migrations: AtomicU64::new(0),
+            core,
             recoveries: AtomicU64::new(0),
-            entries,
-            capsules,
-            components,
             factory: Mutex::new(Box::new(factory)),
-            counters,
-            rm,
-            task,
-            spec,
         })
     }
 
-    /// Builds one shard's run-to-completion handler — the closure the
-    /// worker thread runs per ring item. Shared between [`Self::build`]
-    /// (pool start) and [`Self::respawn_shard`] (crash recovery), so a
-    /// respawned worker runs *exactly* the same loop as an original
-    /// one: gather, meter, push, cause-tagged accounting, drain.
+    /// Builds one shard's worker handler: gather the job's batch (a
+    /// shared range is gathered into a pooled container here, on the
+    /// worker, in parallel across shards) and run it through the core.
+    /// Shared by [`Self::build`] and [`Self::respawn_shard`], so a
+    /// respawned worker runs exactly the loop an original one does.
     fn make_handler(
+        core: Arc<ShardCore>,
         shard: usize,
-        entry: SharedEntry,
-        counters: Arc<Vec<ShardCounters>>,
         gather_pool: BatchPool,
-        bucket_load: Option<Arc<BucketLoad>>,
-        sketch: Option<Arc<FlowSketch>>,
-        mut drain: Option<Box<dyn FnMut() + Send>>,
+        mut drain: Option<Drain>,
     ) -> ShardHandler<ShardJob> {
         Box::new(move |job: ShardJob| {
             let batch = match job {
-                // Pre-steered owned batch: runs as-is.
                 ShardJob::Batch(batch) => batch,
-                // Shared-range dispatch: gather this shard's slice
-                // of the split parent into a pooled container. The
-                // move happens *here*, on the worker, in parallel
-                // across shards — the dispatch thread only wrote
-                // one descriptor per ring. When the last sibling
-                // range is consumed the parent container recycles.
                 ShardJob::Range(range) => {
                     let mut out = gather_pool.take();
                     range.take_into(&mut out);
                     out
                 }
             };
-            let n = batch.len() as u64;
-            // Meter per-bucket load on the worker (packets are
-            // rss-stamped by the split / NIC by now, so this is a
-            // modulo + relaxed increment each), keeping the
-            // dispatch thread lean.
-            if let Some(meter) = &bucket_load {
-                meter.record_batch(&batch);
-            }
-            // Same gate for the byte sketch: per-flow byte mass
-            // keyed by the stamped hash, feeding heavy-hitter
-            // evidence to the control plane.
-            if let Some(sketch) = &sketch {
-                sketch.record_batch(&batch);
-            }
-            // Snapshot the entry once per batch: cheap, and the
-            // quiesce closure can retarget it between batches.
-            let target = Arc::clone(&entry.read());
-            let result = target.push_batch(batch);
-            let c = &counters[shard];
-            c.batches.fetch_add(1, Ordering::Relaxed);
-            c.packets.fetch_add(n, Ordering::Relaxed);
-            c.accepted
-                .fetch_add(result.accepted() as u64, Ordering::Relaxed);
-            if result.dropped() > 0 {
-                // Split graph verdicts by cause: the guard's
-                // rate-limit verdict gets its own meter; everything
-                // else is ordinary graph policy.
-                let guard = result
-                    .verdicts
-                    .iter()
-                    .filter(|v| matches!(v, Err(PushError::RateLimited)))
-                    .count() as u64;
-                let graph = result.dropped() as u64 - guard;
-                c.drop_cause(DropCause::Guard, guard);
-                c.drop_cause(DropCause::Graph, graph);
-            }
-            if let Some(drain) = drain.as_mut() {
-                drain();
-            }
+            core.run_batch(shard, batch, drain.as_mut());
         })
-    }
-
-    /// Number of shards (worker threads / replicas).
-    pub fn workers(&self) -> usize {
-        self.spec.workers
-    }
-
-    /// The configuring spec.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The pipeline's task in the resources meta-model — the single
-    /// logical handle reflection sees for all replicas.
-    pub fn task(&self) -> TaskId {
-        self.task
     }
 
     /// RSS-dispatches a batch, move-free: steers it by flow affinity
@@ -582,61 +414,24 @@ impl ShardedPipeline {
     ///
     /// [`ShardSplit::into_shared`]: netkit_packet::batch::ShardSplit::into_shared
     pub fn dispatch(&self, batch: PacketBatch) -> usize {
-        let map = self.steering.read();
-        if self.spec.workers <= 1 {
+        let map = self.core.steering().read();
+        let workers = self.workers();
+        if workers <= 1 {
             return self.submit_counting_drops(0, batch);
         }
         let shared = batch.shard_split_with(&map).into_shared();
         self.pool.submit_fanout(
-            (0..self.spec.workers).filter(|&s| shared.shard_len(s) > 0),
+            (0..workers).filter(|&s| shared.shard_len(s) > 0),
             |shard| ShardJob::Range(shared.range(shard)),
             |shard, job| {
-                if let Some(c) = self.counters.get(shard) {
-                    // Fanout only skips a shard whose worker died —
-                    // blocking publishes never tail-drop on pressure.
-                    c.drop_cause(DropCause::DeadWorker, job.len() as u64);
-                }
-                // The rejected range drops here; its packets release
-                // with the shared parent, whose pooled container (if
-                // leased) recycles on the last sibling's drop.
+                // Fanout only skips a shard whose worker died —
+                // blocking publishes never tail-drop on pressure. The
+                // rejected range drops here; its packets release with
+                // the shared parent.
+                self.core
+                    .drop_cause(shard, DropCause::DeadWorker, job.len() as u64);
             },
         )
-    }
-
-    /// The pre-shared-ring dispatch baseline: the same counting-sort
-    /// split, but each shard's slice is re-materialised as an **owned**
-    /// sub-batch ([`PacketBatch`] leased from the pool, packets moved
-    /// on *this* thread) and published with one ring transaction per
-    /// sub-batch. Semantically equivalent to [`Self::dispatch`]
-    /// (verdicts, per-output multisets, per-flow order — see the
-    /// differential proptest); kept as the comparison arm for the E13
-    /// dispatch bench and for callers that must not share the parent.
-    pub fn dispatch_owned(&self, batch: PacketBatch) -> usize {
-        let map = self.steering.read();
-        if self.spec.workers <= 1 {
-            return self.submit_counting_drops(0, batch);
-        }
-        let mut sent = 0;
-        let split = batch.shard_split_with(&map);
-        for (shard, part) in split
-            .into_shard_batches_pooled(&self.batch_pool)
-            .into_iter()
-            .enumerate()
-        {
-            if part.is_empty() {
-                continue;
-            }
-            let n = part.len() as u64;
-            match self.pool.submit(shard, ShardJob::Batch(part)) {
-                Ok(()) => sent += 1,
-                Err(_) => {
-                    if let Some(c) = self.counters.get(shard) {
-                        c.drop_cause(DropCause::DeadWorker, n);
-                    }
-                }
-            }
-        }
-        sent
     }
 
     /// Single-shard hand-off with loss accounting: empty batches are
@@ -650,9 +445,7 @@ impl ShardedPipeline {
         match self.pool.submit(shard, ShardJob::Batch(batch)) {
             Ok(()) => 1,
             Err(_) => {
-                if let Some(c) = self.counters.get(shard) {
-                    c.drop_cause(DropCause::DeadWorker, n);
-                }
+                self.core.drop_cause(shard, DropCause::DeadWorker, n);
                 0
             }
         }
@@ -683,7 +476,7 @@ impl ShardedPipeline {
     pub fn pump_nic(&self, nic: &Nic, shard: usize, max: usize) -> usize {
         // Hold the steering read lock so a pump never interleaves with
         // a table migration (the migration itself drains these queues).
-        let _map = self.steering.read();
+        let _map = self.core.steering().read();
         let mut batch = self.batch_pool.take();
         let taken = nic.rx_burst_batch(shard, max, &mut batch);
         if taken == 0 {
@@ -694,9 +487,8 @@ impl ShardedPipeline {
             Err(_) => {
                 // The bounced batch drops here: frames counted lost,
                 // pooled container recycles on drop.
-                if let Some(c) = self.counters.get(shard) {
-                    c.drop_cause(DropCause::DeadWorker, taken as u64);
-                }
+                self.core
+                    .drop_cause(shard, DropCause::DeadWorker, taken as u64);
                 0
             }
         }
@@ -712,7 +504,7 @@ impl ShardedPipeline {
     ///
     /// Returns the batch if `shard` is out of range or its worker died.
     pub fn submit(&self, shard: usize, batch: PacketBatch) -> std::result::Result<(), PacketBatch> {
-        let _map = self.steering.read();
+        let _map = self.core.steering().read();
         match self.pool.submit(shard, ShardJob::Batch(batch)) {
             Ok(()) => Ok(()),
             Err(ShardJob::Batch(batch)) => Err(batch),
@@ -724,7 +516,7 @@ impl ShardedPipeline {
     /// rolls per-shard counters up into the resources task.
     pub fn flush(&self) {
         self.pool.flush();
-        self.sync_resources();
+        self.core.sync_resources();
     }
 
     /// Runs `f` with every worker parked at a batch boundary (the epoch
@@ -740,47 +532,16 @@ impl ShardedPipeline {
         self.pool.epoch()
     }
 
-    /// Snapshot of the authoritative bucket → shard steering table.
-    pub fn bucket_map(&self) -> BucketMap {
-        BucketMap::clone(&self.steering.read())
-    }
-
-    /// Migration epochs applied via [`Self::install_bucket_map`].
-    pub fn migrations(&self) -> u64 {
-        self.migrations.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot (peek, non-destructive) of the per-bucket packet
-    /// meters — what has accumulated since the evidence was last
-    /// consumed (retired by an applied migration, decayed by
-    /// [`Self::decay_bucket_loads`], or drained).
-    pub fn bucket_loads(&self) -> Vec<u64> {
-        self.bucket_load.snapshot()
-    }
-
-    /// Takes the per-bucket observation window destructively: returns
-    /// the counts and zeroes them. This is the legacy drain-based
-    /// discipline for callers that unconditionally consume every
-    /// window; the rebalancing paths ([`Self::rebalance`],
-    /// [`Self::control_turn`]) use peek-then-commit instead so
-    /// declined windows retain their evidence.
-    pub fn drain_bucket_loads(&self) -> Vec<u64> {
-        self.bucket_load.drain()
-    }
-
     /// Per-shard load meters: work done plus ring pressure — the
-    /// evidence a [`RebalancePolicy`] (or a human at the reflective
+    /// evidence a [`RebalanceController`] (or a human at the reflective
     /// console) reads to spot a hot shard.
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
-        (0..self.spec.workers)
-            .map(|shard| ShardLoad {
-                shard,
-                packets: self.counters[shard].packets.load(Ordering::Relaxed),
-                batches: self.counters[shard].batches.load(Ordering::Relaxed),
-                in_flight: self.pool.in_flight_on(shard).unwrap_or(0),
-                ring_high_water: self.pool.ring_high_water(shard).unwrap_or(0),
-            })
-            .collect()
+        self.core.shard_loads(|shard| {
+            (
+                self.pool.in_flight_on(shard).unwrap_or(0),
+                self.pool.ring_high_water(shard).unwrap_or(0),
+            )
+        })
     }
 
     /// Installs a new bucket → shard table atomically — the adapt arm
@@ -813,33 +574,27 @@ impl ShardedPipeline {
     /// pipeline runs — a table must never steer to a worker that does
     /// not exist.
     pub fn install_bucket_map(&self, map: BucketMap, nics: &[&Nic]) -> MigrationReport {
-        self.install_map_inner(map, nics, None, true)
+        let report = self.install_map_inner(map, nics, None);
+        self.core.count_migration();
+        report
     }
 
     /// The shared body behind [`Self::install_bucket_map`] (a
-    /// migration: counts an epoch, bills `REBALANCES`, files bounces
-    /// by their real rejection) and [`Self::health_turn`]'s
-    /// quarantine/restore patches (not migrations: every bounce is
-    /// filed under `cause_override` — re-steer shed — and no
-    /// rebalance accounting moves).
+    /// migration: files bounces by their real rejection) and
+    /// [`Self::health_turn`]'s quarantine/restore patches (not
+    /// migrations: every bounce is filed under `cause_override` —
+    /// re-steer shed).
     fn install_map_inner(
         &self,
         map: BucketMap,
         nics: &[&Nic],
         cause_override: Option<DropCause>,
-        as_migration: bool,
     ) -> MigrationReport {
-        assert_eq!(
-            map.shards(),
-            self.spec.workers,
-            "bucket map targets {} shards, pipeline runs {}",
-            map.shards(),
-            self.spec.workers
-        );
-        let mut steering = self.steering.write();
-        let moved_buckets = map.moved_buckets(&steering).len();
+        self.core.check_map(&map);
+        let workers = self.workers();
+        let mut steering = self.core.steering().write();
         let mut report = MigrationReport {
-            moved_buckets,
+            moved_buckets: map.moved_buckets(&steering).len(),
             ..MigrationReport::default()
         };
         self.pool.quiesce(|| {
@@ -852,7 +607,7 @@ impl ShardedPipeline {
                             break; // empty container recycles on drop
                         }
                         let shared = batch.shard_split_with(&map).into_shared();
-                        for shard in 0..self.spec.workers {
+                        for shard in 0..workers {
                             let n = shared.shard_len(shard);
                             if n == 0 {
                                 continue;
@@ -879,9 +634,7 @@ impl ShardedPipeline {
                                         SubmitRejection::DeadWorker
                                         | SubmitRejection::OutOfRange => DropCause::DeadWorker,
                                     });
-                                    if let Some(c) = self.counters.get(shard) {
-                                        c.drop_cause(cause, n as u64);
-                                    }
+                                    self.core.drop_cause(shard, cause, n as u64);
                                 }
                             }
                         }
@@ -899,163 +652,40 @@ impl ShardedPipeline {
             self.pool.reset_ring_high_water();
         });
         report.epoch = self.pool.epoch();
-        if as_migration {
-            self.migrations.fetch_add(1, Ordering::Relaxed);
-            let _ = self.rm.consume(self.task, classes::REBALANCES, 1);
-        }
         report
     }
 
-    /// One turn of the reflective rebalancing loop: **peek** at the
-    /// per-bucket observation window, ask `policy` for a plan, and —
-    /// when the skew warrants it — install the planned table via
-    /// [`Self::install_bucket_map`] and **then** retire exactly the
-    /// judged window. Returns the plan and migration report when a
-    /// migration was applied, `None` when the placement was left alone
-    /// (balanced, window too small, or single shard).
+    /// One turn of the reflective rebalancing loop — the pipeline's
+    /// only rebalancing entry point: **peek** at the per-bucket
+    /// observation window and the shard pressure meters, let `ctl`
+    /// decide, and apply the outcome — install (via
+    /// [`Self::install_bucket_map`], covering `nics`) and then retire
+    /// exactly the judged window on a migration, decay on a
+    /// judged-but-held window, nothing while evidence is still
+    /// gathering. Returns the plan and migration report when a
+    /// migration was applied.
     ///
-    /// Run this from the control plane (the ResourceManager side), not
-    /// from a worker: it quiesces the pipeline it is called on. Window
-    /// operations are single-consumer — one control-plane caller at a
-    /// time (the autonomous [`ControlLoop`] *is* that caller when
-    /// spawned; don't mix it with manual polling).
+    /// Run this from the control plane, not from a worker: it
+    /// quiesces the pipeline it is called on. Window operations are
+    /// single-consumer — one control-plane caller at a time (the
+    /// autonomous [`ControlLoop`] *is* that caller when spawned; don't
+    /// mix it with manual turns).
     ///
-    /// The window discipline is peek-then-commit:
-    ///
-    /// * the `min_samples` gate, the plan, and the retire all judge
-    ///   the **same snapshot** — samples recorded mid-call stay in the
-    ///   meter for the next poll rather than being judged by one step
-    ///   and invisible to another;
-    /// * a window below `min_samples` keeps accumulating, so a
-    ///   low-rate but persistently skewed workload eventually gathers
-    ///   enough evidence across polls;
-    /// * a window the policy *declines* (balanced, or no improving
-    ///   plan) is **retained, not discarded** — under a weighted
-    ///   policy the same packet evidence can tip the decision on a
-    ///   later poll once queueing pressure shifts. Periodic callers
-    ///   should age retained windows with
-    ///   [`Self::decay_bucket_loads`] (the [`ControlLoop`] does).
-    pub fn rebalance(
-        &self,
-        policy: &RebalancePolicy,
-        nics: &[&Nic],
-    ) -> Option<(RebalancePlan, MigrationReport)> {
-        let window = self.bucket_load.snapshot();
-        if window.iter().sum::<u64>() < policy.min_samples.max(1) {
-            return None; // too little evidence: keep accumulating
-        }
-        let current = self.bucket_map();
-        let Some(plan) = policy.plan(&window, &current) else {
-            return None; // declined: the window is evidence, not waste
-        };
-        let report = self.install_bucket_map(plan.map.clone(), nics);
-        // Consume exactly what was judged; concurrent arrivals stay.
-        self.bucket_load.retire(&window);
-        Some((plan, report))
-    }
-
-    /// The weighted analogue of [`Self::rebalance`]: the same
-    /// peek-then-commit window discipline, with the decision made by a
-    /// [`WeightedRebalancePolicy`] over the raw window *plus* the live
-    /// per-shard queueing pressure ([`Self::shard_loads`]).
-    pub fn rebalance_weighted(
-        &self,
-        policy: &WeightedRebalancePolicy,
-        nics: &[&Nic],
-    ) -> Option<(RebalancePlan, MigrationReport)> {
-        let window = self.bucket_load.snapshot();
-        let loads = self.shard_loads();
-        let current = self.bucket_map();
-        let plan = policy.plan(&window, &loads, self.spec.ring_capacity, &current)?;
-        let report = self.install_bucket_map(plan.map.clone(), nics);
-        self.bucket_load.retire(&window);
-        Some((plan, report))
-    }
-
-    /// Applies one exponential decay step to the bucket observation
-    /// window: every bucket keeps an `alpha` fraction of its count
-    /// (see `BucketLoad::decay`). This is how periodic pollers age
-    /// evidence the policy declined to act on, instead of draining it.
-    pub fn decay_bucket_loads(&self, alpha: f64) {
-        self.bucket_load.decay(alpha);
-    }
-
-    /// `shard`'s flow sketch: per-flow **byte** meters (count-min +
-    /// Space-Saving top-k) fed on the worker side alongside
-    /// [`Self::bucket_loads`]'s packet counts. Single-worker pipelines
-    /// never feed it (nothing to rebalance — see the worker gate in
-    /// [`Self::build`]).
-    pub fn flow_sketch(&self, shard: usize) -> &Arc<FlowSketch> {
-        &self.sketches[shard]
-    }
-
-    /// The merged heavy-hitter evidence across all shards: each
-    /// shard's Space-Saving top-k, summed per flow hash and re-ranked
-    /// (see [`SpaceSaving::merge`]). This is the byte-side input the
-    /// control loop feeds to
-    /// [`RebalanceController::decide_with_evidence`] when
-    /// [`ControlConfig::heavy_blend`] is non-zero.
-    pub fn heavy_hitters(&self) -> Vec<HeavyHitter> {
-        let tops: Vec<Vec<HeavyHitter>> = self.sketches.iter().map(|s| s.heavy_hitters()).collect();
-        SpaceSaving::merge(SketchConfig::default().top_capacity, &tops)
-    }
-
-    /// One full turn of the **autonomous** control loop against this
-    /// pipeline: snapshot the window and the shard pressure meters,
-    /// let `ctl` decide, and apply the outcome — install + retire on a
-    /// migration, decay on a judged-but-held window, nothing while
-    /// evidence is still gathering. The threaded [`ControlLoop`] calls
-    /// this on every tick; tests and embedders can drive it directly
-    /// for deterministic single-step control.
+    /// The window discipline is peek-then-commit: the gathering gate,
+    /// the plan, and the retire all judge the **same snapshot**, so
+    /// samples recorded mid-call stay for the next turn; a window
+    /// below `min_samples` keeps accumulating across turns; and a
+    /// declined window is retained (aged by the policy's decay), not
+    /// discarded, so the same packet evidence can tip a later decision
+    /// once queueing pressure shifts.
     pub fn control_turn(
         &self,
         ctl: &mut RebalanceController,
         nics: &[&Nic],
     ) -> Option<(RebalancePlan, MigrationReport)> {
-        let window = self.bucket_load.snapshot();
-        let loads = self.shard_loads();
-        let current = self.bucket_map();
-        // The sketches follow the same peek-then-commit discipline as
-        // the packet window: snapshot what is judged, and on a
-        // migration retire exactly that — bytes recorded mid-turn stay
-        // for the next poll. Snapshots are only taken when the
-        // evidence can matter (non-zero blend), keeping the zero-blend
-        // control turn as cheap as it was without sketches.
-        let with_evidence = ctl.heavy_blend() > 0.0;
-        let sketch_windows: Vec<_> = if with_evidence {
-            self.sketches.iter().map(|s| s.snapshot()).collect()
-        } else {
-            Vec::new()
-        };
-        let heavy = if with_evidence {
-            SpaceSaving::merge(
-                SketchConfig::default().top_capacity,
-                &sketch_windows
-                    .iter()
-                    .map(|w| w.top.clone())
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            Vec::new()
-        };
-        match ctl.decide_with_evidence(&window, &loads, &heavy, self.spec.ring_capacity, &current) {
-            ControlDecision::Gathering => None,
-            ControlDecision::Hold => {
-                self.bucket_load.decay(ctl.decay());
-                for sketch in &self.sketches {
-                    sketch.decay(ctl.decay());
-                }
-                None
-            }
-            ControlDecision::Migrate(plan) => {
-                let report = self.install_bucket_map(plan.map.clone(), nics);
-                self.bucket_load.retire(&window);
-                for (sketch, w) in self.sketches.iter().zip(&sketch_windows) {
-                    sketch.retire(w);
-                }
-                Some((plan, report))
-            }
-        }
+        self.core.control_turn(ctl, &self.shard_loads(), |map| {
+            self.install_bucket_map(map, nics)
+        })
     }
 
     /// Whether `shard`'s worker can still accept work (`Some(false)`
@@ -1070,28 +700,6 @@ impl ShardedPipeline {
     /// calls over the pipeline's lifetime.
     pub fn recoveries(&self) -> u64 {
         self.recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Per-cause drop accounting aggregated over all shards. The sum
-    /// ([`DropStats::total`]) always equals [`PipelineStats::dropped`]
-    /// from [`Self::stats`] — every lost packet is filed under exactly
-    /// one cause.
-    pub fn drop_stats(&self) -> DropStats {
-        let mut total = DropStats::default();
-        for c in self.counters.iter() {
-            let s = c.drop_stats();
-            total.ring_full += s.ring_full;
-            total.dead_worker += s.dead_worker;
-            total.resteer_shed += s.resteer_shed;
-            total.guard += s.guard;
-            total.graph += s.graph;
-        }
-        total
-    }
-
-    /// One shard's per-cause drop accounting.
-    pub fn shard_drop_stats(&self, shard: usize) -> DropStats {
-        self.counters[shard].drop_stats()
     }
 
     /// Replaces `shard`'s dead worker with a fresh replica and thread —
@@ -1132,32 +740,18 @@ impl ShardedPipeline {
             return Ok(None);
         }
         let graph = (self.factory.lock())(shard)?;
-        {
-            let mut comps = self.components[shard].lock();
-            for component in comps.drain(..) {
-                let _ = self.rm.detach(self.task, component);
-            }
-            for component in &graph.components {
-                self.rm.attach(self.task, *component)?;
-            }
-            *comps = graph.components.clone();
-        }
-        *self.entries[shard].write() = graph.entry;
-        *self.capsules[shard].write() = graph.capsule;
+        let drain = self.core.replace_replica(shard, graph)?;
         let handler = Self::make_handler(
+            Arc::clone(&self.core),
             shard,
-            Arc::clone(&self.entries[shard]),
-            Arc::clone(&self.counters),
             self.batch_pool.clone(),
-            (self.spec.workers > 1).then(|| Arc::clone(&self.bucket_load)),
-            (self.spec.workers > 1).then(|| Arc::clone(&self.sketches[shard])),
-            graph.drain,
+            drain,
         );
         let mut stranded_packets = 0u64;
         let respawned = self.pool.respawn(shard, handler, |job| {
             let n = job.len() as u64;
             stranded_packets += n;
-            self.counters[shard].drop_cause(DropCause::DeadWorker, n);
+            self.core.drop_cause(shard, DropCause::DeadWorker, n);
         });
         if respawned.is_none() {
             // Lost a (theoretical) race with another respawner; the
@@ -1166,8 +760,12 @@ impl ShardedPipeline {
             return Ok(None);
         }
         self.recoveries.fetch_add(1, Ordering::Relaxed);
-        let _ = self.rm.consume(self.task, classes::FAULTS, 1);
+        self.bill_fault();
         Ok(Some(stranded_packets))
+    }
+
+    fn bill_fault(&self) {
+        let _ = self.core.rm.consume(self.core.task, classes::FAULTS, 1);
     }
 
     /// One health turn of the self-healing loop: detect dead shards,
@@ -1206,17 +804,22 @@ impl ShardedPipeline {
     /// every dead shard (steering is still restored first so traffic
     /// keeps flowing to whatever recovered).
     pub fn health_turn(&self, nics: &[&Nic]) -> Result<Option<FaultRecovery>> {
-        let dead: Vec<usize> = (0..self.spec.workers)
+        let workers = self.workers();
+        let dead: Vec<usize> = (0..workers)
             .filter(|&s| self.pool.worker_alive(s) == Some(false))
             .collect();
         if dead.is_empty() {
             return Ok(None);
         }
-        let live: Vec<usize> = (0..self.spec.workers)
-            .filter(|s| !dead.contains(s))
-            .collect();
+        let live: Vec<usize> = (0..workers).filter(|s| !dead.contains(s)).collect();
         let saved = self.bucket_map();
         let mut recovery = FaultRecovery::default();
+        let patch = |map: BucketMap, recovery: &mut FaultRecovery| {
+            let report = self.install_map_inner(map, nics, Some(DropCause::ResteerShed));
+            recovery.resteered += report.resubmitted as u64;
+            recovery.shed += report.dropped as u64;
+            self.bill_fault();
+        };
         if !live.is_empty() {
             let mut quarantine = saved.clone();
             let mut next = 0usize;
@@ -1227,11 +830,7 @@ impl ShardedPipeline {
                     recovery.quarantined_buckets += 1;
                 }
             }
-            let report =
-                self.install_map_inner(quarantine, nics, Some(DropCause::ResteerShed), false);
-            recovery.resteered += report.resubmitted as u64;
-            recovery.shed += report.dropped as u64;
-            let _ = self.rm.consume(self.task, classes::FAULTS, 1);
+            patch(quarantine, &mut recovery);
         }
         let mut first_err = None;
         for &shard in &dead {
@@ -1249,73 +848,11 @@ impl ShardedPipeline {
             // even when a respawn failed: the quarantine table is only
             // correct while its dead-set matches reality, and the next
             // health turn re-derives it from scratch anyway.
-            let report = self.install_map_inner(saved, nics, Some(DropCause::ResteerShed), false);
-            recovery.resteered += report.resubmitted as u64;
-            recovery.shed += report.dropped as u64;
-            let _ = self.rm.consume(self.task, classes::FAULTS, 1);
+            patch(saved, &mut recovery);
         }
         match first_err {
             Some(e) => Err(e),
             None => Ok(Some(recovery)),
-        }
-    }
-
-    /// The capsule hosting `shard`'s replica (the *current* one — a
-    /// respawn swaps in a fresh capsule).
-    pub fn capsule(&self, shard: usize) -> Arc<Capsule> {
-        Arc::clone(&self.capsules[shard].read())
-    }
-
-    /// `shard`'s current ingress interface.
-    pub fn entry(&self, shard: usize) -> Arc<dyn IPacketPush> {
-        Arc::clone(&self.entries[shard].read())
-    }
-
-    /// Retargets `shard`'s ingress (call from within a
-    /// [`Self::quiesce`] closure after replacing the head element).
-    pub fn set_entry(&self, shard: usize, entry: Arc<dyn IPacketPush>) {
-        *self.entries[shard].write() = entry;
-    }
-
-    /// Aggregate counters over all shards — the one-logical-component
-    /// view. Also rolls usage up into the resources task.
-    pub fn stats(&self) -> PipelineStats {
-        self.sync_resources();
-        let mut total = PipelineStats::default();
-        for c in self.counters.iter() {
-            total.batches += c.batches.load(Ordering::Relaxed);
-            total.packets += c.packets.load(Ordering::Relaxed);
-            total.accepted += c.accepted.load(Ordering::Relaxed);
-            total.dropped += c.dropped.load(Ordering::Relaxed);
-        }
-        total
-    }
-
-    /// One shard's counters.
-    pub fn shard_stats(&self, shard: usize) -> PipelineStats {
-        let c = &self.counters[shard];
-        PipelineStats {
-            batches: c.batches.load(Ordering::Relaxed),
-            packets: c.packets.load(Ordering::Relaxed),
-            accepted: c.accepted.load(Ordering::Relaxed),
-            dropped: c.dropped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Pushes the per-shard deltas into the resources task. Called from
-    /// `flush`/`stats` so the per-batch hot path never takes the
-    /// manager's locks. `fetch_max` keeps `reported` monotone, so
-    /// concurrent callers that loaded different `packets` snapshots
-    /// claim disjoint deltas (the stale one claims zero) and nothing is
-    /// ever double-counted.
-    fn sync_resources(&self) {
-        for c in self.counters.iter() {
-            let seen = c.packets.load(Ordering::Relaxed);
-            let reported = c.reported.fetch_max(seen, Ordering::Relaxed);
-            let delta = seen.saturating_sub(reported);
-            if delta > 0 {
-                let _ = self.rm.consume(self.task, classes::PACKETS, delta);
-            }
         }
     }
 
@@ -1324,8 +861,7 @@ impl ShardedPipeline {
     /// aggregate stats.
     pub fn shutdown(self) -> PipelineStats {
         self.pool.flush();
-        let stats = self.stats();
-        let _ = self.rm.release_task(self.task);
+        let stats = self.core.release();
         self.pool.shutdown();
         stats
     }
@@ -1336,7 +872,8 @@ impl fmt::Debug for ShardedPipeline {
         write!(
             f,
             "ShardedPipeline({} shards, {:?})",
-            self.spec.workers, self.pool
+            self.workers(),
+            self.pool
         )
     }
 }
@@ -1359,23 +896,26 @@ mod tests {
         rig_with(name, ShardSpec::new(workers))
     }
 
+    /// A Counter → Discard replica; its sink is pushed onto `sinks`.
+    fn counting_replica(sinks: &parking_lot::Mutex<Vec<Arc<Discard>>>) -> Result<ShardGraph> {
+        let rt = Runtime::new();
+        register_packet_interfaces(&rt);
+        let capsule = Capsule::new("shard", &rt);
+        let counter = Counter::new();
+        let sink = Discard::new();
+        let cid = capsule.adopt(counter.clone())?;
+        let sid = capsule.adopt(sink.clone())?;
+        capsule.bind_simple(cid, "out", sid, IPACKET_PUSH)?;
+        sinks.lock().push(sink);
+        Ok(ShardGraph::new(Arc::clone(&capsule), counter).with_components(vec![cid, sid]))
+    }
+
     fn rig_with(name: &str, spec: ShardSpec) -> Rig {
         let rm = Arc::new(ResourceManager::new());
         let sinks = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let sinks2 = Arc::clone(&sinks);
-        let pipe = ShardedPipeline::build(name, spec, Arc::clone(&rm), {
-            move |_shard| {
-                let rt = Runtime::new();
-                register_packet_interfaces(&rt);
-                let capsule = Capsule::new("shard", &rt);
-                let counter = Counter::new();
-                let sink = Discard::new();
-                let cid = capsule.adopt(counter.clone())?;
-                let sid = capsule.adopt(sink.clone())?;
-                capsule.bind_simple(cid, "out", sid, IPACKET_PUSH)?;
-                sinks2.lock().push(sink);
-                Ok(ShardGraph::new(Arc::clone(&capsule), counter).with_components(vec![cid, sid]))
-            }
+        let pipe = ShardedPipeline::build(name, spec, Arc::clone(&rm), move |_| {
+            counting_replica(&sinks2)
         })
         .unwrap();
         let sinks = std::mem::take(&mut *sinks.lock());
@@ -1546,8 +1086,6 @@ mod tests {
         }
         // The meters saw every packet, bucketwise.
         assert_eq!(r.pipe.bucket_loads().iter().sum::<u64>(), 32);
-        assert_eq!(r.pipe.drain_bucket_loads().iter().sum::<u64>(), 32);
-        assert_eq!(r.pipe.bucket_loads().iter().sum::<u64>(), 0);
         r.pipe.shutdown();
     }
 
@@ -1589,40 +1127,43 @@ mod tests {
         r.pipe.shutdown();
     }
 
+    /// A cooldown-free controller at the 1.25 imbalance threshold.
+    /// `controller(n, 0.0, 1.0)` judges exactly like the plain threshold
+    /// policy: no pressure weighting, and `decay: 1.0` (the identity)
+    /// retains a held window whole.
+    fn controller(min_samples: u64, pressure_weight: f64, decay: f64) -> RebalanceController {
+        let base = RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples,
+        };
+        RebalanceController::new(
+            WeightedRebalancePolicy {
+                base,
+                pressure_weight,
+                decay,
+            },
+            0,
+        )
+    }
+
     #[test]
     fn rebalance_spreads_a_skewed_window() {
         use netkit_packet::steer::bucket_of;
         let workers = 4usize;
         let r = rig("skew", workers);
-        // An elephant column plus colocated mice: stamps chosen so all
-        // buckets land on shard 0 under the identity table.
-        let mut batch = PacketBatch::new();
-        for i in 0..64u64 {
-            let mut p =
-                netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9).build();
-            // Half the load on bucket 0 (the elephant), the rest on
-            // buckets 4, 8, 12 — all ≡ 0 (mod 4).
-            let bucket = match i % 8 {
-                0..=3 => 0u64,
-                4 | 5 => 4,
-                6 => 8,
-                _ => 12,
-            };
-            p.meta.rss_hash = Some(bucket);
-            batch.push(p);
-        }
-        r.pipe.dispatch(batch);
+        // An elephant column plus colocated mice: half the load on
+        // bucket 0 (the elephant), the rest on buckets 4, 8, 12 — all
+        // ≡ 0 (mod 4), so all on shard 0 under the identity table.
+        let mix = [0u64, 0, 0, 0, 4, 4, 8, 12];
+        r.pipe.dispatch(stamped(&mix, 64));
         r.pipe.flush();
         assert_eq!(r.pipe.shard_stats(0).packets, 64, "skew: one hot shard");
         let loads = r.pipe.shard_loads();
         assert_eq!(loads[0].packets, 64);
         assert!(loads[0].ring_high_water >= 1);
 
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 32,
-        };
-        let (plan, report) = r.pipe.rebalance(&policy, &[]).expect("skew triggers");
+        let mut ctl = controller(32, 0.0, 1.0);
+        let (plan, report) = r.pipe.control_turn(&mut ctl, &[]).expect("skew triggers");
         assert!(plan.imbalance_before > 3.0);
         assert!(plan.imbalance_after <= 2.0, "{}", plan.imbalance_after);
         assert_eq!(report.moved_buckets, plan.moved.len());
@@ -1631,54 +1172,30 @@ mod tests {
         assert!(plan.moved.iter().all(|b| [4usize, 8, 12].contains(b)));
 
         // Second window with the same mix is now spread over shards.
-        let mut batch = PacketBatch::new();
-        for i in 0..64u64 {
-            let mut p =
-                netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9).build();
-            let bucket = match i % 8 {
-                0..=3 => 0u64,
-                4 | 5 => 4,
-                6 => 8,
-                _ => 12,
-            };
-            p.meta.rss_hash = Some(bucket);
-            batch.push(p);
-        }
-        r.pipe.dispatch(batch);
+        r.pipe.dispatch(stamped(&mix, 64));
         r.pipe.flush();
         let hot = r.pipe.shard_stats(0).packets - 64;
         assert_eq!(hot, 32, "shard 0 now carries only the elephant");
         let elsewhere: u64 = (1..workers).map(|s| r.pipe.shard_stats(s).packets).sum();
         assert_eq!(elsewhere, 32, "mice ran elsewhere");
         // A balanced window does not trigger again.
-        assert!(r.pipe.rebalance(&policy, &[]).is_none());
+        assert!(r.pipe.control_turn(&mut ctl, &[]).is_none());
         r.pipe.shutdown();
     }
 
     #[test]
     fn small_windows_accumulate_across_rebalance_polls() {
-        // Regression: polling rebalance() faster than min_samples
+        // Regression: polling control turns faster than min_samples
         // worth of traffic arrives must not throw the evidence away —
         // a low-rate but fully-skewed workload still triggers once
         // enough has accumulated.
         let r = rig("slow-skew", 4);
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 64,
-        };
+        let mut ctl = controller(64, 0.0, 1.0);
         for _ in 0..4 {
             // 24 packets per poll, all on shard 0's buckets.
-            let mut batch = PacketBatch::new();
-            for i in 0..24u64 {
-                let mut p =
-                    netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9)
-                        .build();
-                p.meta.rss_hash = Some(if i % 2 == 0 { 0 } else { 4 + 4 * (i % 3) });
-                batch.push(p);
-            }
-            r.pipe.dispatch(batch);
+            r.pipe.dispatch(stamped(&[0, 8, 0, 4, 0, 12], 24));
             r.pipe.flush();
-            if r.pipe.rebalance(&policy, &[]).is_some() {
+            if r.pipe.control_turn(&mut ctl, &[]).is_some() {
                 break;
             }
         }
@@ -1690,19 +1207,26 @@ mod tests {
 
     /// Stamps `n` packets onto the given buckets, round-robin.
     fn stamped(buckets: &[u64], n: usize) -> PacketBatch {
-        let mut batch = PacketBatch::new();
-        for i in 0..n {
-            let mut p =
-                netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9).build();
-            p.meta.rss_hash = Some(buckets[i % buckets.len()]);
-            batch.push(p);
-        }
-        batch
+        stamped_with(buckets, n, 0)
+    }
+
+    /// `n` packets of `payload` bytes, stamped round-robin onto
+    /// `buckets`.
+    fn stamped_with(buckets: &[u64], n: usize, payload: usize) -> PacketBatch {
+        (0..n)
+            .map(|i| {
+                let mut p = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9)
+                    .payload_len(payload)
+                    .build();
+                p.meta.rss_hash = Some(buckets[i % buckets.len()]);
+                p
+            })
+            .collect()
     }
 
     #[test]
     fn declined_plan_windows_retain_their_evidence() {
-        // Regression (drain-before-plan): rebalance() used to drain
+        // Regression (drain-before-plan): rebalancing used to drain
         // the window *before* asking the policy, so a judged-but-
         // declined window was discarded. The evidence must survive a
         // declined poll: the same packet skew that cannot trigger the
@@ -1710,10 +1234,6 @@ mod tests {
         // pressure tips the weighted decision — which only works if
         // declined windows are retained.
         let r = rig_with("retain", ShardSpec::new(2).with_ring_capacity(8));
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 64,
-        };
         // A sustained 1.2x skew: shard 0 carries 60 of every 100
         // packets (buckets 0 and 2), shard 1 carries 40 (bucket 1).
         let skew: Vec<u64> = std::iter::repeat_n([0u64, 2, 1, 0, 1, 2, 0, 1, 0, 1], 10)
@@ -1724,7 +1244,10 @@ mod tests {
         assert_eq!(r.pipe.bucket_loads().iter().sum::<u64>(), 100);
 
         // Judged and declined (1.2 < 1.25) — but NOT discarded.
-        assert!(r.pipe.rebalance(&policy, &[]).is_none());
+        assert!(r
+            .pipe
+            .control_turn(&mut controller(64, 0.0, 1.0), &[])
+            .is_none());
         assert_eq!(
             r.pipe.bucket_loads().iter().sum::<u64>(),
             100,
@@ -1734,11 +1257,6 @@ mod tests {
         // The retained window converges under the weighted policy as
         // soon as the hot shard's ring shows pressure: barely any new
         // packet evidence is needed.
-        let weighted = WeightedRebalancePolicy {
-            base: policy,
-            pressure_weight: 1.0,
-            decay: 0.5,
-        };
         // Pile work onto shard 0's ring inside a quiesce (workers
         // parked, nothing retires) so its high-water mark rides 6/8 of
         // the ring capacity — deterministic queueing pressure.
@@ -1752,7 +1270,7 @@ mod tests {
         assert!(loads[0].ring_high_water >= 6, "{loads:?}");
         let (plan, _) = r
             .pipe
-            .rebalance_weighted(&weighted, &[])
+            .control_turn(&mut controller(64, 1.0, 0.5), &[])
             .expect("retained evidence + pressure must converge");
         assert_eq!(plan.moved, vec![2], "colocated bucket leaves shard 0");
         assert_eq!(r.pipe.migrations(), 1);
@@ -1768,14 +1286,11 @@ mod tests {
         // meter holds exactly what arrived after the snapshot (here:
         // nothing), and a declined poll leaves it bit-identical.
         let r = rig("snapshot", 4);
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 32,
-        };
+        let mut ctl = controller(32, 0.0, 1.0);
         r.pipe.dispatch(stamped(&[0, 4, 8, 12], 64)); // all -> shard 0
         r.pipe.flush();
         let before = r.pipe.bucket_loads();
-        let (plan, _) = r.pipe.rebalance(&policy, &[]).expect("skew triggers");
+        let (plan, _) = r.pipe.control_turn(&mut ctl, &[]).expect("skew triggers");
         assert!(!plan.moved.is_empty());
         assert_eq!(
             r.pipe.bucket_loads().iter().sum::<u64>(),
@@ -1788,17 +1303,7 @@ mod tests {
     #[test]
     fn control_turn_closes_the_loop_on_the_pipeline() {
         let r = rig("turn", 4);
-        let mut ctl = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 64,
-                },
-                pressure_weight: 1.0,
-                decay: 0.5,
-            },
-            0,
-        );
+        let mut ctl = controller(64, 1.0, 0.5);
         // Turn 1: gathering (window below min_samples) — untouched.
         r.pipe.dispatch(stamped(&[0, 4, 8, 12], 24));
         r.pipe.flush();
@@ -1829,32 +1334,13 @@ mod tests {
     /// `n` stamped packets per bucket, every packet `payload` bytes of
     /// payload — uniform counts, controllable byte mass.
     fn stamped_sized(buckets: &[u64], n: usize, payload: usize) -> PacketBatch {
-        let mut batch = PacketBatch::new();
-        for i in 0..n * buckets.len() {
-            let mut p = netkit_packet::packet::PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 9, 9)
-                .payload_len(payload)
-                .build();
-            p.meta.rss_hash = Some(buckets[i % buckets.len()]);
-            batch.push(p);
-        }
-        batch
+        stamped_with(buckets, n * buckets.len(), payload)
     }
 
     #[test]
     fn sketch_evidence_migrates_byte_elephants_the_packet_window_hides() {
         let r = rig("elephants", 2);
-        let mut ctl = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 32,
-                },
-                pressure_weight: 0.0,
-                decay: 0.5,
-            },
-            0,
-        )
-        .with_heavy_hitters(1.0);
+        let mut ctl = controller(32, 0.0, 0.5).with_heavy_hitters(1.0);
         // Uniform packet counts: 8 packets in each of buckets 0..8
         // (identity(2): evens -> shard 0, odds -> shard 1). But every
         // even-bucket flow is an elephant (1200-byte payloads) while
@@ -1879,17 +1365,7 @@ mod tests {
         assert!(elephant_bytes > 10 * mouse_bytes.max(1), "byte skew");
 
         // A packet-only controller holds forever on this window...
-        let mut packets_only = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 32,
-                },
-                pressure_weight: 0.0,
-                decay: 0.5,
-            },
-            0,
-        );
+        let mut packets_only = controller(32, 0.0, 0.5);
         assert!(r.pipe.control_turn(&mut packets_only, &[]).is_none());
         assert_eq!(packets_only.holds(), 1, "judged and declined");
         // (the hold decayed the windows; re-feed to full strength)
@@ -1929,26 +1405,6 @@ mod tests {
         assert_eq!(r.pipe.shard_stats(1).packets, 0);
         assert!(r.pipe.submit(5, PacketBatch::new()).is_err());
         r.pipe.shutdown();
-    }
-
-    #[test]
-    fn dispatch_owned_agrees_with_shared_dispatch() {
-        let shared = rig("agree-shared", 4);
-        let owned = rig("agree-owned", 4);
-        shared.pipe.dispatch(burst(16, 8));
-        owned.pipe.dispatch_owned(burst(16, 8));
-        shared.pipe.flush();
-        owned.pipe.flush();
-        assert_eq!(shared.pipe.stats(), owned.pipe.stats());
-        for shard in 0..4 {
-            assert_eq!(
-                shared.pipe.shard_stats(shard),
-                owned.pipe.shard_stats(shard),
-                "per-shard steering identical on shard {shard}"
-            );
-        }
-        shared.pipe.shutdown();
-        owned.pipe.shutdown();
     }
 
     #[test]
@@ -2018,10 +1474,7 @@ mod tests {
         // container.
         let rm = Arc::new(ResourceManager::new());
         let pipe = ShardedPipeline::build("dead-pump", ShardSpec::single(), rm, |_| {
-            let rt = Runtime::new();
-            register_packet_interfaces(&rt);
-            let capsule = Capsule::new("shard", &rt);
-            Ok(ShardGraph::new(Arc::clone(&capsule), Arc::new(Exploder)))
+            bare(Arc::new(Exploder))
         })
         .unwrap();
         pipe.submit(0, burst(1, 1)).unwrap(); // poisons the worker
@@ -2057,20 +1510,18 @@ mod tests {
     ) -> impl FnMut(usize) -> Result<ShardGraph> + Send + 'static {
         let poisoned = Arc::new(std::sync::atomic::AtomicBool::new(false));
         move |shard| {
-            let rt = Runtime::new();
-            register_packet_interfaces(&rt);
-            let capsule = Capsule::new("shard", &rt);
             if shard == poison_shard && !poisoned.swap(true, std::sync::atomic::Ordering::Relaxed) {
-                return Ok(ShardGraph::new(Arc::clone(&capsule), Arc::new(Exploder)));
+                return bare(Arc::new(Exploder));
             }
-            let counter = Counter::new();
-            let sink = Discard::new();
-            let cid = capsule.adopt(counter.clone())?;
-            let sid = capsule.adopt(sink.clone())?;
-            capsule.bind_simple(cid, "out", sid, IPACKET_PUSH)?;
-            sinks.lock().push(sink);
-            Ok(ShardGraph::new(Arc::clone(&capsule), counter).with_components(vec![cid, sid]))
+            counting_replica(&sinks)
         }
+    }
+
+    /// A replica that is nothing but `entry`.
+    fn bare(entry: Arc<dyn IPacketPush>) -> Result<ShardGraph> {
+        let rt = Runtime::new();
+        register_packet_interfaces(&rt);
+        Ok(ShardGraph::new(Capsule::new("shard", &rt), entry))
     }
 
     #[test]
@@ -2215,13 +1666,7 @@ mod tests {
     fn workers_split_graph_verdicts_into_guard_and_graph_causes() {
         let rm = Arc::new(ResourceManager::new());
         let pipe = ShardedPipeline::build("causes", ShardSpec::single(), rm, |_| {
-            let rt = Runtime::new();
-            register_packet_interfaces(&rt);
-            let capsule = Capsule::new("shard", &rt);
-            Ok(ShardGraph::new(
-                Arc::clone(&capsule),
-                Arc::new(Alternator(AtomicU64::new(0))),
-            ))
+            bare(Arc::new(Alternator(AtomicU64::new(0))))
         })
         .unwrap();
         pipe.submit(0, burst(4, 4)).unwrap();
@@ -2232,5 +1677,153 @@ mod tests {
         assert_eq!(causes.total(), pipe.stats().dropped, "the sum invariant");
         assert_eq!(pipe.stats().accepted, 0);
         pipe.shutdown();
+    }
+
+    /// A solo pipeline of Counter → Discard replicas, plus the sinks.
+    fn solo_rig(name: &str, spec: ShardSpec) -> (SoloPipeline, Vec<Arc<Discard>>) {
+        let sinks = parking_lot::Mutex::new(Vec::new());
+        let pipe = SoloPipeline::build(name, spec, Arc::new(ResourceManager::new()), |_| {
+            counting_replica(&sinks)
+        })
+        .unwrap();
+        (pipe, sinks.into_inner())
+    }
+
+    fn received(sinks: &[Arc<Discard>]) -> Vec<u64> {
+        sinks.iter().map(|s| s.count()).collect()
+    }
+
+    fn flows(n: u16, payload: impl Fn(u16) -> usize) -> Vec<netkit_packet::packet::Packet> {
+        (0..n)
+            .map(|i| {
+                PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 7000 + i, 80)
+                    .payload_len(payload(i))
+                    .build()
+            })
+            .collect()
+    }
+
+    /// A controller that never migrates and forgets a held window.
+    fn forgetful(blend: f64) -> RebalanceController {
+        RebalanceController::new(
+            WeightedRebalancePolicy {
+                base: RebalancePolicy {
+                    max_imbalance: f64::INFINITY,
+                    min_samples: 1,
+                },
+                pressure_weight: 0.0,
+                decay: 0.0,
+            },
+            0,
+        )
+        .with_heavy_hitters(blend)
+    }
+
+    #[test]
+    fn batches_split_by_flow_and_nothing_is_lost() {
+        use netkit_packet::flow::FlowKey;
+        let (mut pipe, sinks) = solo_rig("solo-split", ShardSpec::new(4));
+        let pkts = flows(32, |_| 0);
+        let mut expect = vec![0u64; 4];
+        for p in &pkts {
+            expect[FlowKey::from_packet(p).unwrap().shard_for(4)] += 1;
+        }
+        pipe.dispatch(PacketBatch::from_packets(pkts));
+        assert_eq!(received(&sinks), expect, "each shard saw exactly its flows");
+        assert_eq!(pipe.stats().packets, 32);
+    }
+
+    #[test]
+    fn zero_worker_spec_behaves_as_one_shard() {
+        let raw = ShardSpec {
+            workers: 0,
+            ring_capacity: 0,
+        };
+        let (mut pipe, sinks) = solo_rig("solo-zero", raw);
+        assert_eq!(pipe.workers(), 1);
+        pipe.dispatch(PacketBatch::from_packets(flows(4, |_| 0)));
+        assert_eq!(received(&sinks), vec![4]);
+    }
+
+    #[test]
+    fn installed_table_redirects_the_demux() {
+        use netkit_packet::flow::FlowKey;
+        let (mut pipe, sinks) = solo_rig("solo-table", ShardSpec::new(4));
+        assert!(pipe.bucket_map().is_identity());
+        let pkts = flows(16, |_| 0);
+        let mut map = pipe.bucket_map();
+        for p in &pkts {
+            map.set(FlowKey::from_packet(p).unwrap().bucket(), 3);
+        }
+        pipe.install_bucket_map(map);
+        pipe.dispatch(PacketBatch::from_packets(pkts));
+        assert_eq!(
+            received(&sinks),
+            vec![0, 0, 0, 16],
+            "steering follows the table"
+        );
+    }
+
+    #[test]
+    fn demux_meters_share_the_window_discipline() {
+        let (mut pipe, _) = solo_rig("solo-meter", ShardSpec::new(4));
+        pipe.dispatch(PacketBatch::from_packets(flows(16, |_| 0)));
+        assert_eq!(pipe.bucket_loads().iter().sum::<u64>(), 16);
+        // Gathering leaves the window untouched...
+        let mut gathering = controller(1_000, 0.0, 1.0);
+        assert!(pipe.control_turn(&mut gathering).is_none());
+        assert_eq!(pipe.bucket_loads().iter().sum::<u64>(), 16);
+        // ...and a hold ages it by the controller's decay.
+        assert!(pipe.control_turn(&mut forgetful(0.0)).is_none());
+        assert_eq!(pipe.bucket_loads().iter().sum::<u64>(), 0);
+
+        // A single shard has nothing to rebalance: no meter.
+        let (mut single, _) = solo_rig("solo-meter-1", ShardSpec::new(1));
+        single.dispatch(PacketBatch::from_packets(flows(4, |_| 0)));
+        assert_eq!(single.bucket_loads().iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn demux_sketch_is_deterministic_and_windowed() {
+        use netkit_packet::flow::FlowKey;
+        // One byte elephant among mice, identical on every run.
+        let traffic = || flows(16, |i| if i == 3 { 1400 } else { 0 });
+        let (mut a, _) = solo_rig("solo-sketch-a", ShardSpec::new(4));
+        let (mut b, _) = solo_rig("solo-sketch-b", ShardSpec::new(4));
+        a.dispatch(PacketBatch::from_packets(traffic()));
+        b.dispatch(PacketBatch::from_packets(traffic()));
+        let top = a.heavy_hitters();
+        assert_eq!(top, b.heavy_hitters(), "bit-for-bit reproducible");
+        let elephant = FlowKey::from_packet(&traffic()[3]).unwrap().rss_hash();
+        assert_eq!(top[0].hash, elephant, "the elephant ranks first");
+        // A hold that weighs byte evidence ages the sketches too.
+        assert!(a.control_turn(&mut forgetful(1.0)).is_none());
+        let residual: u64 = (0..4).map(|s| a.flow_sketch(s).total_bytes()).sum();
+        assert_eq!(residual, 0);
+
+        // A single shard feeds no sketch.
+        let (mut single, _) = solo_rig("solo-sketch-1", ShardSpec::new(1));
+        single.dispatch(PacketBatch::from_packets(traffic()));
+        assert!(single.heavy_hitters().is_empty());
+        assert_eq!(single.flow_sketch(0).total_bytes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket map targets")]
+    fn set_map_rejects_mismatched_shard_count() {
+        let (mut pipe, _) = solo_rig("solo-mismatch", ShardSpec::new(2));
+        pipe.install_bucket_map(netkit_packet::steer::BucketMap::identity(4));
+    }
+
+    #[test]
+    fn scalar_path_agrees_with_batch_path() {
+        let (mut one_by_one, scalar) = solo_rig("solo-scalar", ShardSpec::new(2));
+        let (mut batched, batch) = solo_rig("solo-batch", ShardSpec::new(2));
+        for p in flows(16, |_| 0) {
+            one_by_one.dispatch(PacketBatch::from_packets(vec![p]));
+        }
+        batched.dispatch(PacketBatch::from_packets(flows(16, |_| 0)));
+        assert_eq!(received(&scalar), received(&batch));
+        assert_eq!(one_by_one.bucket_loads(), batched.bucket_loads());
     }
 }

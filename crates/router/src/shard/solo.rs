@@ -1,60 +1,39 @@
-//! Deterministic single-threaded replica drive for sharded element
-//! graphs — the simulation entry into the real dataplane.
+//! Deterministic single-threaded driver for sharded element graphs —
+//! the simulation entry into the real dataplane.
 //!
-//! [`SoloPipeline`] runs the *same* factory-built per-shard replicas as
-//! [`ShardedPipeline`](super::ShardedPipeline) — same `ShardGraph`
-//! recipe, same RSS counting-sort split, same per-shard metering
-//! ([`BucketLoad`] packets + [`FlowSketch`] bytes, gated on more than
-//! one shard), same cause-tagged verdict accounting (the guard's
-//! [`PushError::RateLimited`] verdicts vs ordinary graph policy), same
-//! peek-decide-commit control turn — but executes shards **in index
-//! order on the calling thread**. No worker pool, no rings, no quiesce:
-//! the caller is always at a batch boundary, so a steering-table swap
-//! is a plain assignment and a run is bit-for-bit reproducible.
+//! [`SoloPipeline`] runs the *same* shard core as
+//! [`ShardedPipeline`](super::ShardedPipeline) — same factory-built
+//! replicas, same steering table, same per-batch program, same control
+//! turn — but executes shards **in index order on the calling
+//! thread**. No worker pool, no rings, no quiesce: the caller is always
+//! at a batch boundary, so a steering-table swap is a plain assignment
+//! and a run is bit-for-bit reproducible. What this driver does not
+//! model is listed once, in the [`shard`](super) module docs.
 //!
 //! That determinism is the whole point: a discrete-event simulator can
 //! host one `SoloPipeline` per node and drive thousands of *real*
 //! stateful dataplanes (conntrack/NAT/load-balancer/guard chains,
 //! stratum-3 media filters) from simulated time, with the autonomous
 //! [`RebalanceController`] deciding per node — and replay the entire
-//! city identically from a seed. The differential test in
-//! `tests/sim_pipeline_differential.rs` pins the equivalence: for the
-//! same trace, `SoloPipeline` and the threaded `ShardedPipeline`
-//! produce identical verdict counts, per-shard multisets, and per-flow
-//! order.
-//!
-//! What is *not* mirrored, by construction: ring-full, dead-worker,
-//! and re-steer-shed drops (there are no rings and nothing can die on
-//! the caller's own thread), ring-pressure meters (`in_flight` and
-//! `ring_high_water` read 0), and quiesce epochs (a migration's
-//! `epoch` counts applied migrations instead).
+//! city identically from a seed. The differential tests in
+//! `tests/sim_pipeline_differential.rs` pin the equivalence with the
+//! threaded driver: identical verdict counts, per-shard multisets,
+//! per-flow order, and control-turn decisions.
 
 use std::fmt;
 use std::sync::Arc;
 
-use netkit_packet::batch::PacketBatch;
-use netkit_packet::sketch::{FlowSketch, HeavyHitter, SketchConfig, SpaceSaving};
-use netkit_packet::steer::{BucketLoad, BucketMap};
-use opencom::capsule::Capsule;
-use opencom::error::Result;
-use opencom::ident::TaskId;
-use opencom::meta::resources::{classes, ResourceManager};
-
-use crate::api::{IPacketPush, PushError};
-
-use super::control::{ControlDecision, RebalanceController};
-use super::rebalance::{MigrationReport, RebalancePlan};
-use super::{DropCause, DropStats, PipelineStats, ShardCounters, ShardGraph, ShardLoad};
-
 use netkit_kernel::shard::ShardSpec;
+use netkit_packet::batch::PacketBatch;
+use netkit_packet::sketch::FlowSketch;
+use netkit_packet::steer::BucketMap;
+use opencom::error::Result;
+use opencom::meta::resources::ResourceManager;
 
-/// One shard's replica as the solo drive holds it.
-struct SoloGraph {
-    /// Kept alive for the replica's lifetime (elements live here).
-    capsule: Arc<Capsule>,
-    entry: Arc<dyn IPacketPush>,
-    drain: Option<Box<dyn FnMut() + Send>>,
-}
+use super::control::RebalanceController;
+use super::core::{Drain, ShardCore};
+use super::rebalance::{MigrationReport, RebalancePlan};
+use super::{PipelineStats, ShardGraph, ShardLoad};
 
 /// `spec.workers` replicas of an element graph driven deterministically
 /// on the calling thread. See the module docs for the contract with
@@ -96,18 +75,14 @@ struct SoloGraph {
 /// # Ok::<(), opencom::error::Error>(())
 /// ```
 pub struct SoloPipeline {
-    graphs: Vec<SoloGraph>,
-    steering: BucketMap,
-    bucket_load: BucketLoad,
-    sketches: Vec<Arc<FlowSketch>>,
-    counters: Vec<ShardCounters>,
-    migrations: u64,
-    rm: Arc<ResourceManager>,
-    task: TaskId,
-    spec: ShardSpec,
+    core: ShardCore,
+    /// Each shard's drain hook, run after the shard's batch.
+    drains: Vec<Option<Drain>>,
 }
 
 impl SoloPipeline {
+    core_surface!();
+
     /// Builds `spec.workers` replicas via `factory(shard)` (called in
     /// shard order) and registers the pipeline as one task named
     /// `name` in `rm` — the same single-logical-component resource
@@ -125,22 +100,18 @@ impl SoloPipeline {
     where
         F: FnMut(usize) -> Result<ShardGraph>,
     {
-        let sketches = (0..spec.workers.max(1))
-            .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
-            .collect();
-        Self::build_with_sketches(name, spec, rm, sketches, factory)
+        Self::build_with_sketches(name, spec, rm, ShardCore::fresh_sketches(spec), factory)
     }
 
     /// [`build`](Self::build) with caller-supplied per-shard flow
-    /// sketches. The threaded pipeline creates its sketches *after*
-    /// the factory runs, so a factory can never hand its shard's
-    /// sketch to a [`Guard`](crate::flow::Guard); here the caller
-    /// creates the sketches first, clones each shard's `Arc` into the
-    /// factory's guard, and passes the originals in — the guard then
-    /// reads exactly the sketch the drive meters into, satisfying the
+    /// sketches. The threaded pipeline creates its sketches itself, so
+    /// a factory can never hand its shard's sketch to a
+    /// [`Guard`](crate::flow::Guard); here the caller creates the
+    /// sketches first, clones each shard's `Arc` into the factory's
+    /// guard, and passes the originals in — the guard then reads
+    /// exactly the sketch the drive meters into, satisfying the
     /// guard's "estimates already include the current batch" contract
-    /// (the drive records before the graph runs, like the worker
-    /// does).
+    /// (the core records before the graph runs).
     ///
     /// # Errors
     ///
@@ -159,111 +130,35 @@ impl SoloPipeline {
     where
         F: FnMut(usize) -> Result<ShardGraph>,
     {
-        let workers = spec.workers.max(1);
-        assert_eq!(
-            sketches.len(),
-            workers,
-            "{} sketches supplied for {} shards",
-            sketches.len(),
-            workers
-        );
-        let task = rm.create_task(name)?;
-        let mut graphs = Vec::with_capacity(workers);
-        for shard in 0..workers {
-            let graph = factory(shard)?;
-            for component in &graph.components {
-                rm.attach(task, *component)?;
-            }
-            graphs.push(SoloGraph {
-                capsule: graph.capsule,
-                entry: graph.entry,
-                drain: graph.drain,
-            });
-        }
-        Ok(Self {
-            graphs,
-            steering: BucketMap::identity(workers),
-            bucket_load: BucketLoad::new(),
-            sketches,
-            counters: (0..workers).map(|_| ShardCounters::default()).collect(),
-            migrations: 0,
-            rm,
-            task,
-            spec,
-        })
-    }
-
-    /// Number of shards (replicas).
-    pub fn workers(&self) -> usize {
-        self.graphs.len()
-    }
-
-    /// `shard`'s hosting capsule — the reflective mutation surface the
-    /// declarative patch applier (and tests) reconfigure through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn capsule(&self, shard: usize) -> Arc<Capsule> {
-        Arc::clone(&self.graphs[shard].capsule)
-    }
-
-    /// Re-points `shard`'s ingress — the caller is always at a batch
-    /// boundary, so this is a plain assignment (the solo twin of the
-    /// threaded pipeline's `set_entry`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn set_entry(&mut self, shard: usize, entry: Arc<dyn IPacketPush>) {
-        self.graphs[shard].entry = entry;
-    }
-
-    /// The configuring spec.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The pipeline's task in the resources meta-model.
-    pub fn task(&self) -> TaskId {
-        self.task
-    }
-
-    /// The resource manager the pipeline bills.
-    pub fn resources(&self) -> &Arc<ResourceManager> {
-        &self.rm
-    }
-
-    /// `shard`'s ingress entry (the factory's `ShardGraph::entry`).
-    pub fn entry(&self, shard: usize) -> &Arc<dyn IPacketPush> {
-        &self.graphs[shard].entry
+        let (core, drains) = ShardCore::build(name, spec, rm, sketches, &mut factory)?;
+        Ok(Self { core, drains })
     }
 
     /// RSS-dispatches a batch through the installed steering table and
     /// runs every non-empty shard **in index order** on this thread —
-    /// the deterministic serialisation of the threaded dispatch. Each
-    /// shard's slice is metered (packets into the shared bucket
-    /// window, bytes into the shard's sketch — only when sharded, the
-    /// same gate as the threaded build), pushed through the replica's
-    /// entry, verdict-accounted (guard vs graph causes), and drained.
-    /// Returns the number of shards that received packets.
+    /// the deterministic serialisation of the threaded dispatch (same
+    /// split, same shared-range gather). Returns the number of shards
+    /// that received packets.
     pub fn dispatch(&mut self, batch: PacketBatch) -> usize {
-        if self.graphs.len() <= 1 {
-            if batch.is_empty() {
-                return 0;
-            }
-            self.run_on_shard(0, batch, false);
+        if batch.is_empty() {
+            return 0;
+        }
+        if self.workers() <= 1 {
+            self.run_steered(0, batch);
             return 1;
         }
-        let shared = batch.shard_split_with(&self.steering).into_shared();
+        let shared = {
+            let map = self.core.steering().read();
+            batch.shard_split_with(&map).into_shared()
+        };
         let mut ran = 0;
-        for shard in 0..self.graphs.len() {
+        for shard in 0..self.workers() {
             if shared.shard_len(shard) == 0 {
                 continue;
             }
             let mut part = PacketBatch::new();
             shared.range(shard).take_into(&mut part);
-            self.run_on_shard(shard, part, true);
+            self.run_steered(shard, part);
             ran += 1;
         }
         ran
@@ -274,232 +169,64 @@ impl SoloPipeline {
     /// steering already happened (multi-queue NIC model). The caller's
     /// steering decision must come from [`Self::bucket_map`].
     pub fn run_steered(&mut self, shard: usize, batch: PacketBatch) {
-        if batch.is_empty() {
-            return;
+        if !batch.is_empty() {
+            self.core
+                .run_batch(shard, batch, self.drains[shard].as_mut());
         }
-        let metered = self.graphs.len() > 1;
-        self.run_on_shard(shard, batch, metered);
-    }
-
-    /// The worker loop body, verbatim from the threaded
-    /// `make_handler`: meter, snapshot entry, push, account by cause,
-    /// drain.
-    fn run_on_shard(&mut self, shard: usize, batch: PacketBatch, meter: bool) {
-        let n = batch.len() as u64;
-        if meter {
-            self.bucket_load.record_batch(&batch);
-            self.sketches[shard].record_batch(&batch);
-        }
-        let entry = Arc::clone(&self.graphs[shard].entry);
-        let result = entry.push_batch(batch);
-        let c = &self.counters[shard];
-        c.batches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        c.packets.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        c.accepted.fetch_add(
-            result.accepted() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        if result.dropped() > 0 {
-            let guard = result
-                .verdicts
-                .iter()
-                .filter(|v| matches!(v, Err(PushError::RateLimited)))
-                .count() as u64;
-            let graph = result.dropped() as u64 - guard;
-            c.drop_cause(DropCause::Guard, guard);
-            c.drop_cause(DropCause::Graph, graph);
-        }
-        if let Some(drain) = self.graphs[shard].drain.as_mut() {
-            drain();
-        }
-    }
-
-    /// Snapshot of the steering table.
-    pub fn bucket_map(&self) -> BucketMap {
-        self.steering.clone()
-    }
-
-    /// Migrations applied via [`Self::install_bucket_map`].
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Snapshot (peek, non-destructive) of the per-bucket packet
-    /// window — same discipline as the threaded pipeline.
-    pub fn bucket_loads(&self) -> Vec<u64> {
-        self.bucket_load.snapshot()
-    }
-
-    /// `shard`'s flow sketch (the one the drive meters into — and the
-    /// one the shard's guard should read).
-    pub fn flow_sketch(&self, shard: usize) -> &Arc<FlowSketch> {
-        &self.sketches[shard]
-    }
-
-    /// Merged per-flow heavy-hitter byte evidence across all shards.
-    pub fn heavy_hitters(&self) -> Vec<HeavyHitter> {
-        let tops: Vec<Vec<HeavyHitter>> = self.sketches.iter().map(|s| s.heavy_hitters()).collect();
-        SpaceSaving::merge(SketchConfig::default().top_capacity, &tops)
     }
 
     /// Installs a new bucket → shard table. No quiesce is needed — the
     /// single-threaded caller is by definition between batches, which
     /// is exactly the boundary the threaded migration manufactures.
-    /// Counts a migration epoch and bills `REBALANCES`, like the
-    /// threaded install.
+    /// Counts a migration and bills `REBALANCES`, like the threaded
+    /// install; the report's `epoch` is the migration count.
     ///
     /// # Panics
     ///
     /// Panics if `map` targets a different shard count.
     pub fn install_bucket_map(&mut self, map: BucketMap) -> MigrationReport {
-        assert_eq!(
-            map.shards(),
-            self.graphs.len(),
-            "bucket map targets {} shards, pipeline runs {}",
-            map.shards(),
-            self.graphs.len()
-        );
-        let moved_buckets = map.moved_buckets(&self.steering).len();
-        self.steering = map;
-        self.migrations += 1;
-        let _ = self.rm.consume(self.task, classes::REBALANCES, 1);
+        self.install(map)
+    }
+
+    fn install(&self, map: BucketMap) -> MigrationReport {
+        self.core.check_map(&map);
+        let moved_buckets = {
+            let mut steering = self.core.steering().write();
+            let moved = map.moved_buckets(&steering).len();
+            *steering = Arc::new(map);
+            moved
+        };
         MigrationReport {
             moved_buckets,
             resubmitted: 0,
             dropped: 0,
-            epoch: self.migrations,
+            epoch: self.core.count_migration(),
         }
     }
 
-    /// One turn of the autonomous control loop — the exact
-    /// peek-decide-commit sequence of the threaded
-    /// [`control_turn`](super::ShardedPipeline::control_turn), minus
-    /// NIC drains: snapshot the packet window, shard loads, and (when
-    /// the controller blends byte evidence) the sketch windows; let
-    /// `ctl` decide; decay everything on a `Hold`, install + retire
-    /// exactly the judged windows on a `Migrate`.
+    /// One turn of the autonomous control loop — the same core turn
+    /// as the threaded
+    /// [`control_turn`](super::ShardedPipeline::control_turn), with
+    /// [`Self::install_bucket_map`] as the install step and no ring
+    /// pressure.
     pub fn control_turn(
         &mut self,
         ctl: &mut RebalanceController,
     ) -> Option<(RebalancePlan, MigrationReport)> {
-        let window = self.bucket_load.snapshot();
-        let loads = self.shard_loads();
-        let current = self.bucket_map();
-        let with_evidence = ctl.heavy_blend() > 0.0;
-        let sketch_windows: Vec<_> = if with_evidence {
-            self.sketches.iter().map(|s| s.snapshot()).collect()
-        } else {
-            Vec::new()
-        };
-        let heavy = if with_evidence {
-            SpaceSaving::merge(
-                SketchConfig::default().top_capacity,
-                &sketch_windows
-                    .iter()
-                    .map(|w| w.top.clone())
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            Vec::new()
-        };
-        match ctl.decide_with_evidence(&window, &loads, &heavy, self.spec.ring_capacity, &current) {
-            ControlDecision::Gathering => None,
-            ControlDecision::Hold => {
-                self.bucket_load.decay(ctl.decay());
-                for sketch in &self.sketches {
-                    sketch.decay(ctl.decay());
-                }
-                None
-            }
-            ControlDecision::Migrate(plan) => {
-                let report = self.install_bucket_map(plan.map.clone());
-                self.bucket_load.retire(&window);
-                for (sketch, w) in self.sketches.iter().zip(&sketch_windows) {
-                    sketch.retire(w);
-                }
-                Some((plan, report))
-            }
-        }
-    }
-
-    /// Aggregate counters over all shards (also rolls packet usage
-    /// into the resources task, like the threaded `stats`).
-    pub fn stats(&self) -> PipelineStats {
-        self.sync_resources();
-        let mut total = PipelineStats::default();
-        for c in &self.counters {
-            total.batches += c.batches.load(std::sync::atomic::Ordering::Relaxed);
-            total.packets += c.packets.load(std::sync::atomic::Ordering::Relaxed);
-            total.accepted += c.accepted.load(std::sync::atomic::Ordering::Relaxed);
-            total.dropped += c.dropped.load(std::sync::atomic::Ordering::Relaxed);
-        }
-        total
-    }
-
-    /// One shard's counters.
-    pub fn shard_stats(&self, shard: usize) -> PipelineStats {
-        let c = &self.counters[shard];
-        PipelineStats {
-            batches: c.batches.load(std::sync::atomic::Ordering::Relaxed),
-            packets: c.packets.load(std::sync::atomic::Ordering::Relaxed),
-            accepted: c.accepted.load(std::sync::atomic::Ordering::Relaxed),
-            dropped: c.dropped.load(std::sync::atomic::Ordering::Relaxed),
-        }
-    }
-
-    /// Per-cause drop accounting; [`DropStats::total`] equals the
-    /// aggregate `dropped` by construction. Ring- and worker-related
-    /// causes stay zero — nothing can die here.
-    pub fn drop_stats(&self) -> DropStats {
-        let mut total = DropStats::default();
-        for c in &self.counters {
-            let s = c.drop_stats();
-            total.ring_full += s.ring_full;
-            total.dead_worker += s.dead_worker;
-            total.resteer_shed += s.resteer_shed;
-            total.guard += s.guard;
-            total.graph += s.graph;
-        }
-        total
+        self.core
+            .control_turn(ctl, &self.shard_loads(), |map| self.install(map))
     }
 
     /// Per-shard load meters. Ring pressure reads 0 (no rings); the
     /// packet/batch meters carry the rebalance evidence.
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
-        (0..self.graphs.len())
-            .map(|shard| ShardLoad {
-                shard,
-                packets: self.counters[shard]
-                    .packets
-                    .load(std::sync::atomic::Ordering::Relaxed),
-                batches: self.counters[shard]
-                    .batches
-                    .load(std::sync::atomic::Ordering::Relaxed),
-                in_flight: 0,
-                ring_high_water: 0,
-            })
-            .collect()
-    }
-
-    fn sync_resources(&self) {
-        for c in &self.counters {
-            let seen = c.packets.load(std::sync::atomic::Ordering::Relaxed);
-            let reported = c
-                .reported
-                .fetch_max(seen, std::sync::atomic::Ordering::Relaxed);
-            let delta = seen.saturating_sub(reported);
-            if delta > 0 {
-                let _ = self.rm.consume(self.task, classes::PACKETS, delta);
-            }
-        }
+        self.core.shard_loads(|_| (0, 0))
     }
 
     /// Rolls counters up, releases the resources task, and returns the
     /// final aggregate stats.
     pub fn shutdown(self) -> PipelineStats {
-        let stats = self.stats();
-        let _ = self.rm.release_task(self.task);
-        stats
+        self.core.release()
     }
 }
 
@@ -508,8 +235,8 @@ impl fmt::Debug for SoloPipeline {
         write!(
             f,
             "SoloPipeline({} shards, {} migrations)",
-            self.graphs.len(),
-            self.migrations
+            self.workers(),
+            self.migrations()
         )
     }
 }
@@ -517,10 +244,12 @@ impl fmt::Debug for SoloPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{register_packet_interfaces, BatchResult, PushResult};
+    use crate::api::IPacketPush;
+    use crate::api::{register_packet_interfaces, BatchResult, PushError, PushResult};
     use crate::shard::{RebalancePolicy, WeightedRebalancePolicy};
     use netkit_packet::flow::FlowKey;
     use netkit_packet::packet::{Packet, PacketBuilder};
+    use opencom::capsule::Capsule;
     use opencom::runtime::Runtime;
     use parking_lot::Mutex;
 

@@ -1,13 +1,10 @@
 //! Differential test for the move-free shared-range ring protocol:
-//! shared-batch dispatch ≡ owned sub-batch dispatch ≡ single-threaded
-//! pipeline.
+//! shared-batch dispatch ≡ single-threaded scalar pipeline.
 //!
 //! `ShardedPipeline::dispatch` publishes refcounted shard ranges of one
-//! shared split parent (workers gather their slices in parallel);
-//! `ShardedPipeline::dispatch_owned` is the pre-shared baseline that
-//! re-materialises owned sub-batches on the dispatch thread. Both must
-//! be observationally identical to a scalar reference replica pushed
-//! packet-at-a-time: same per-packet verdict tallies, same per-output
+//! shared split parent (workers gather their slices in parallel). It
+//! must be observationally identical to a scalar reference replica
+//! pushed packet-at-a-time: same per-packet verdict tallies, same per-output
 //! *multisets*, and — what neither sharing nor parallel gathering may
 //! break — the same per-flow *sequence* on every output.
 //!
@@ -150,21 +147,16 @@ fn rig(name: &str, workers: usize) -> Rig {
 
 impl Rig {
     /// Drives `packets` through the pipeline in `chunks`-sized bursts
-    /// via `dispatch` (shared ranges) or `dispatch_owned` (the moved
-    /// baseline), then flushes.
-    fn drive(&self, packets: &[Packet], chunks: &[usize], shared: bool) {
+    /// via `dispatch`, then flushes.
+    fn drive(&self, packets: &[Packet], chunks: &[usize]) {
         let mut remaining = packets;
         let mut plan = chunks.iter().copied().cycle();
         while !remaining.is_empty() {
             let take = plan.next().unwrap().min(remaining.len());
             let (chunk, rest) = remaining.split_at(take);
             remaining = rest;
-            let batch = PacketBatch::from_packets(chunk.to_vec());
-            if shared {
-                self.pipe.dispatch(batch);
-            } else {
-                self.pipe.dispatch_owned(batch);
-            }
+            self.pipe
+                .dispatch(PacketBatch::from_packets(chunk.to_vec()));
         }
         self.pipe.flush();
     }
@@ -256,44 +248,31 @@ proptest! {
             }
         }
 
-        // Arm 2 — shared-range dispatch; arm 3 — owned baseline.
+        // Arm 2 — shared-range dispatch.
         let shared = rig(&format!("shared-{workers}"), workers);
-        shared.drive(&packets, &chunks, true);
-        let owned = rig(&format!("owned-{workers}"), workers);
-        owned.drive(&packets, &chunks, false);
+        shared.drive(&packets, &chunks);
 
-        // Verdict tallies agree across all three arms.
-        for r in [&shared, &owned] {
-            let stats = r.pipe.stats();
-            prop_assert_eq!(stats.packets, packets.len() as u64);
-            prop_assert_eq!(stats.accepted, ref_accepted);
-            prop_assert_eq!(stats.dropped, 0);
-            prop_assert_eq!(r.counted(), reference.counter.count());
-            prop_assert_eq!(r.classified(), reference.classifier.stats());
-        }
+        // Verdict tallies agree.
+        let stats = shared.pipe.stats();
+        prop_assert_eq!(stats.packets, packets.len() as u64);
+        prop_assert_eq!(stats.accepted, ref_accepted);
+        prop_assert_eq!(stats.dropped, 0);
+        prop_assert_eq!(shared.counted(), reference.counter.count());
+        prop_assert_eq!(shared.classified(), reference.classifier.stats());
 
         // Per-output multisets and per-flow sequences agree.
         for o in 0..OUTPUTS.len() {
             let ref_frames = reference.sinks[o].frames();
             let shared_frames = shared.frames(o);
-            let owned_frames = owned.frames(o);
             prop_assert_eq!(
                 sorted(shared_frames.clone()),
                 sorted(ref_frames.clone()),
                 "shared multiset = reference"
             );
-            prop_assert_eq!(
-                sorted(owned_frames.clone()),
-                sorted(ref_frames.clone()),
-                "owned multiset = reference"
-            );
-            let ref_flows = by_flow(&ref_frames);
-            prop_assert_eq!(by_flow(&shared_frames), ref_flows.clone(), "shared flow order");
-            prop_assert_eq!(by_flow(&owned_frames), ref_flows, "owned flow order");
+            prop_assert_eq!(by_flow(&shared_frames), by_flow(&ref_frames), "shared flow order");
         }
 
         shared.pipe.shutdown();
-        owned.pipe.shutdown();
     }
 }
 

@@ -182,7 +182,7 @@ mod tests {
             Arc::new(ResourceManager::new()),
         )
         .unwrap();
-        let entry = Arc::clone(pipe.entry(0));
+        let entry = pipe.entry(0);
         entry.push(udp(6_001)).unwrap();
         entry.push(udp(6_002)).unwrap();
         let err = entry.push(udp(6_003));

@@ -247,7 +247,12 @@ impl PipelineNode {
                 })
             })?
         };
-        Ok(Self {
+        Ok(Self::hosting(name, pipe, collectors))
+    }
+
+    /// A node around a built pipeline whose shards end in `collectors`.
+    fn hosting(name: &str, pipe: SoloPipeline, collectors: Vec<Arc<EgressCollector>>) -> Self {
+        Self {
             pipe,
             collectors,
             route: Box::new(|_| RouteAction::Deliver),
@@ -259,7 +264,7 @@ impl PipelineNode {
             packets_since_turn: 0,
             control_turns: 0,
             name: name.to_string(),
-        })
+        }
     }
 
     /// Builds a node whose shard graphs are **compiled from a
@@ -286,11 +291,8 @@ impl PipelineNode {
         desc: &PipelineDesc,
         spec: ShardSpec,
     ) -> Result<(Self, DescBinding)> {
-        let workers = spec.workers.max(1);
-        let collectors: Vec<Arc<EgressCollector>> =
-            (0..workers).map(|_| EgressCollector::new()).collect();
-        let sketches: Vec<Arc<FlowSketch>> = (0..workers)
-            .map(|_| Arc::new(FlowSketch::new(SketchConfig::default())))
+        let collectors: Vec<Arc<EgressCollector>> = (0..spec.workers.max(1))
+            .map(|_| EgressCollector::new())
             .collect();
         let compiler = {
             let collectors = collectors.clone();
@@ -301,24 +303,8 @@ impl PipelineNode {
                 )
             })
         };
-        let rm = Arc::new(ResourceManager::new());
-        let (pipe, binding) = compiler.build_solo_with_sketches(desc, spec, rm, sketches)?;
-        Ok((
-            Self {
-                pipe,
-                collectors,
-                route: Box::new(|_| RouteAction::Deliver),
-                controller: None,
-                control_interval_ns: 0,
-                control_hooks: Vec::new(),
-                tap: None,
-                timer_armed: false,
-                packets_since_turn: 0,
-                control_turns: 0,
-                name: name.to_string(),
-            },
-            binding,
-        ))
+        let (pipe, binding) = compiler.build_solo(desc, spec, Arc::new(ResourceManager::new()))?;
+        Ok((Self::hosting(name, pipe, collectors), binding))
     }
 
     /// A fresh capsule (plus the runtime keeping it alive) with the

@@ -1,6 +1,6 @@
 //! The reflective loop, closed: a `ControlLoop` watches a sharded
 //! pipeline and corrects a skewed placement **with no external
-//! rebalance caller** — the example never invokes `rebalance()`.
+//! rebalance caller** — the example never calls `control_turn` itself.
 //!
 //! A 4-worker pipeline starts under the identity RSS table. The
 //! offered load is pathological: one elephant flow plus seven mice

@@ -15,11 +15,11 @@
 //! |---|---|---|
 //! | — component model | [`opencom`] | components, receptacles, `bind`, capsules, CFs, four meta-models (architecture, interface, interception, resources), registry, isolation |
 //! | 1 hardware abstraction | [`kernel`] | virtual time, pluggable-scheduler executor, memory accounting, simulated multi-queue NICs (RSS indirection table, pooled zero-copy rx `rx_burst_batch` **and** tx `send_tx_packet`/`tx_burst_packets`/`drain_tx_frame`, legacy `Bytes` APIs), the sharded run-to-completion worker pool (`shard::WorkerPool` + epoch quiesce + ring load meters), IXP1200 placement model |
-//! | 2 in-band functions | [`router`] | the **Router CF** (rules R1–R3), batch-first Fig-2 interfaces (`IPacketPush`/`IPacketPull` with `push_batch`/`pull_batch`, `IClassifier`), Fig-3 composites with controllers, the element library, LPM routing, the sharded dataplane (`shard::ShardedPipeline`: per-worker graph replicas, table-driven flow-affine dispatch, one logical reflection surface) and its reflective load balancer (`shard::rebalance`) |
+//! | 2 in-band functions | [`router`] | the **Router CF** (rules R1–R3), batch-first Fig-2 interfaces (`IPacketPush`/`IPacketPull` with `push_batch`/`pull_batch`, `IClassifier`), Fig-3 composites with controllers, the element library, LPM routing, the sharded dataplane — one shard core (replicas, steering table, meters, counters, per-batch run, control turn) behind two drivers, `shard::ShardedPipeline` (worker threads, rings, quiesce, recovery) and `shard::SoloPipeline` (deterministic, on the caller's thread) — and its reflective load balancer (`shard::rebalance`, `shard::control`) |
 //! | 3 application services | [`services`] | ANTS-like execution environment (capsules, code cache, budgets), demo programs, per-flow media filters (batch-aware) |
 //! | 4 coordination | [`signaling`] | RSVP-style reservations, Genesis-style spawning networks |
 //! | comparators | [`baselines`] | Click-like static router and monolithic forwarder, each with burst entry points and `ShardSpec`/`BucketMap`-driven sharded variants for apples-to-apples multi-core benches |
-//! | substrate | [`sim`] | deterministic discrete-event network simulator; same-instant arrivals coalesce into `on_batch` deliveries; `shard::ShardedBehaviour` models RSS demux deterministically through the same bucket table |
+//! | substrate | [`sim`] | deterministic discrete-event network simulator; same-instant arrivals coalesce into `on_batch` deliveries; `pipeline::PipelineNode` hosts real sharded dataplanes through the solo driver, steering through the same bucket table |
 //!
 //! **Start with [`ARCHITECTURE.md`](../../../ARCHITECTURE.md) in the
 //! repository root** — the top-level map of the 9 crates, the

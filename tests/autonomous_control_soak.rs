@@ -1,6 +1,6 @@
 //! **Autonomous reflective control-loop acceptance** — the pipeline
 //! must detect and correct a mid-run traffic shift **with no external
-//! `rebalance()` caller**: the spawned
+//! `control_turn` caller**: the spawned
 //! [`ControlLoop`](netkit::router::shard::control::ControlLoop) is the
 //! only control plane in these tests.
 //!
@@ -19,11 +19,12 @@
 //!    and the batch-container pool stops allocating after warm-up
 //!    (the `zero_copy_steady_state` bar, now with a live control
 //!    loop quiescing the pipeline mid-traffic).
-//! 3. **Deterministic sim drive** — the *same* decision core
-//!    (`RebalanceController`) runs from the single-threaded
-//!    simulator's event loop against `ShardedBehaviour`, and two
-//!    identical runs produce identical migration histories — the
-//!    autonomous loop is reproducible when its cadence is.
+//! 3. **Deterministic sim drive** — the *same* control turn
+//!    (`RebalanceController` over the shard core) runs from the
+//!    single-threaded simulator's event loop against a
+//!    `PipelineNode`, and two identical runs produce identical
+//!    migration histories — the autonomous loop is reproducible when
+//!    its cadence is.
 //!
 //! The soak is budgeted (rounds per phase, wall-clock deadline) so CI
 //! cannot hang on it; `NETKIT_SOAK_PHASES` scales the phase count.
@@ -41,7 +42,7 @@ use netkit::packet::flow::FlowKey;
 use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::packet::steer::BucketMap;
 use netkit::router::api::{register_packet_interfaces, IPacketPush, PushResult};
-use netkit::router::shard::control::{ControlConfig, ControlDecision, ControlLoop};
+use netkit::router::shard::control::{ControlConfig, ControlLoop};
 use netkit::router::shard::{
     RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
 };
@@ -263,7 +264,7 @@ fn autonomous_loop_recovers_mid_run_skew() {
     let (deltas, stats) = recovered.expect("the loop alone must recover >=1.5x within the budget");
     assert!(stats.migrations >= 1, "recovery implies >=1 migration");
 
-    // No external caller ever invoked rebalance(); the adaptation
+    // No external caller ever invoked control_turn(); the adaptation
     // trail is on the meta-model: the loop task counts its inspection
     // ticks while it lives...
     let ctl_task = ctl.task();
@@ -444,19 +445,17 @@ struct SimRunHistory {
 /// appears mid-run, the *same* controller core decides every 4th
 /// event-loop step — and returns its full observable history.
 fn sim_control_run() -> SimRunHistory {
-    use netkit::sim::node::SinkBehaviour;
-    use netkit::sim::shard::ShardedBehaviour;
+    use netkit::sim::pipeline::PipelineNode;
     use netkit::sim::Simulator;
 
     let mut sim = Simulator::new(42);
-    let counters = std::cell::RefCell::new(Vec::new());
-    let sharded = ShardedBehaviour::new("auto-sim", ShardSpec::new(WORKERS), |_| {
-        let (sink, c) = SinkBehaviour::new();
-        counters.borrow_mut().push(c);
-        Box::new(sink)
-    });
-    let counters = counters.into_inner();
-    let node = sim.add_node(Box::new(sharded));
+    let node = PipelineNode::build("auto-sim", ShardSpec::new(WORKERS), |site| {
+        let (capsule, _rt) = PipelineNode::shard_capsule();
+        let entry: Arc<dyn IPacketPush> = site.egress.clone();
+        Ok(ShardGraph::new(capsule, entry))
+    })
+    .expect("node builds");
+    let node = sim.add_node(Box::new(node));
 
     let mut ctl = RebalanceController::new(
         WeightedRebalancePolicy {
@@ -501,33 +500,23 @@ fn sim_control_run() -> SimRunHistory {
         sim.run_to_idle();
 
         // Every 4th step the control loop takes a turn — from the
-        // event loop, deterministically, same decision core as the
+        // event loop, deterministically, the same control turn as the
         // threaded ControlLoop.
         if step % 4 == 3 {
             let behaviour = sim
-                .node_behaviour_mut::<ShardedBehaviour>(node)
-                .expect("sharded node");
-            let window = behaviour.bucket_loads();
-            let current = behaviour.map().clone();
-            match ctl.decide(&window, &[], 1, &current) {
-                ControlDecision::Gathering => {}
-                ControlDecision::Hold => {
-                    behaviour.decay_bucket_loads(ctl.decay());
-                }
-                ControlDecision::Migrate(plan) => {
-                    behaviour.set_map(plan.map.clone());
-                    behaviour.retire_bucket_loads(&window);
-                    migrations.push((step, plan.moved));
-                }
+                .node_behaviour_mut::<PipelineNode>(node)
+                .expect("pipeline node");
+            if let Some((plan, _)) = behaviour.pipeline_mut().control_turn(&mut ctl) {
+                migrations.push((step, plan.moved));
             }
         }
     }
-    let received: Vec<u64> = counters.iter().map(|c| c.received()).collect();
-    let table = sim
-        .node_behaviour_mut::<ShardedBehaviour>(node)
-        .expect("sharded node")
-        .map()
-        .clone();
+    let pipe = sim
+        .node_behaviour_mut::<PipelineNode>(node)
+        .expect("pipeline node")
+        .pipeline();
+    let received: Vec<u64> = (0..WORKERS).map(|s| pipe.shard_stats(s).packets).collect();
+    let table = pipe.bucket_map();
     let final_map: Vec<u64> = (0..WORKERS)
         .map(|s| {
             (0..netkit::packet::steer::RSS_BUCKETS)

@@ -11,7 +11,9 @@
 //! feeding a [`ConnTracker`] whose `out` is bound to a recording
 //! collector. The only difference under test is the drive — one worker
 //! thread per shard with MPSC rings versus a single-threaded
-//! event-loop replica.
+//! event-loop replica. A second differential runs the control turn on
+//! both drivers over one skewed trace: same decisions, same moved
+//! buckets, same final table, same `REBALANCES` bill.
 
 use std::sync::Arc;
 
@@ -23,11 +25,14 @@ use netkit_packet::packet::{Packet, PacketBuilder};
 use netkit_packet::steer::BucketMap;
 use netkit_router::api::{IPacketPush, PushError, PushResult, IPACKET_PUSH};
 use netkit_router::flow::ConnTracker;
-use netkit_router::shard::{DropStats, ShardGraph, ShardedPipeline};
+use netkit_router::shard::{
+    DropStats, MigrationReport, RebalanceController, RebalancePlan, RebalancePolicy, ShardGraph,
+    ShardedPipeline, SoloPipeline, WeightedRebalancePolicy,
+};
 use netkit_sim::pipeline::{EgressCollector, PipelineNode, RouteAction};
 use netkit_sim::traffic::{CbrGen, TrafficGen};
 use netkit_sim::Simulator;
-use opencom::meta::resources::ResourceManager;
+use opencom::meta::resources::{classes, ResourceManager};
 
 const SHARDS: usize = 3;
 const FLOWS: u16 = 12;
@@ -334,4 +339,156 @@ fn sim_node_is_bit_deterministic_where_threads_are_only_equivalent() {
 
     // TrafficGen trait must stay object-safe for boxed replay sources.
     fn _object_safe(_: &mut dyn TrafficGen) {}
+}
+
+/// What one control turn concluded, as seen from outside the driver.
+#[derive(Debug, PartialEq, Eq)]
+enum Turn {
+    Gathering,
+    Hold,
+    Migrate(Vec<usize>),
+}
+
+fn controller() -> RebalanceController {
+    RebalanceController::new(
+        WeightedRebalancePolicy {
+            base: RebalancePolicy {
+                max_imbalance: 1.25,
+                min_samples: 96,
+            },
+            pressure_weight: 0.0,
+            decay: 0.5,
+        },
+        1,
+    )
+    .with_heavy_hitters(0.5)
+}
+
+/// Classifies the turn that just ran from its result and the
+/// controller's hold counter.
+fn classify(
+    migrated: Option<(RebalancePlan, MigrationReport)>,
+    ctl: &RebalanceController,
+    holds_before: u64,
+) -> Turn {
+    match migrated {
+        Some((plan, report)) => {
+            assert_eq!(report.moved_buckets, plan.moved.len());
+            Turn::Migrate(plan.moved)
+        }
+        None if ctl.holds() > holds_before => Turn::Hold,
+        None => Turn::Gathering,
+    }
+}
+
+/// A skewed seeded trace, cut into dispatch batches: most packets
+/// belong to flows colocated on shard 0 under the identity table, and
+/// one of them is a byte elephant.
+fn skewed_batches(seed: u64) -> Vec<Vec<Packet>> {
+    let hot: Vec<u16> = (0..64u16)
+        .filter(|&f| {
+            FlowKey::from_packet(&flow_packet(f, 0))
+                .unwrap()
+                .shard_for(SHARDS)
+                == 0
+        })
+        .take(6)
+        .collect();
+    let mut state = seed;
+    let mut seq = [0u16; 64];
+    (0..48)
+        .map(|_| {
+            (0..16)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let r = (state >> 33) as usize;
+                    let flow = if r.is_multiple_of(4) {
+                        (r / 4 % 64) as u16
+                    } else {
+                        hot[r / 4 % hot.len()]
+                    };
+                    let s = seq[flow as usize];
+                    seq[flow as usize] += 1;
+                    let pad = if flow == hot[0] { 1200 } else { 0 };
+                    let mut payload = s.to_be_bytes().to_vec();
+                    payload.resize(2 + pad, 0);
+                    PacketBuilder::udp_v4("10.0.0.1", "10.0.9.9", 3000 + flow, 443)
+                        .payload(&payload)
+                        .build()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn both_drivers_make_the_same_control_turns() {
+    const TURN_EVERY: usize = 4;
+    let batches = skewed_batches(0xc0ffee);
+
+    let rm_thr = Arc::new(ResourceManager::new());
+    let threaded = ShardedPipeline::build(
+        "turns-thr",
+        ShardSpec::new(SHARDS),
+        Arc::clone(&rm_thr),
+        |_| Ok(graph().0),
+    )
+    .expect("pipeline builds");
+    let rm_solo = Arc::new(ResourceManager::new());
+    let mut solo = SoloPipeline::build(
+        "turns-solo",
+        ShardSpec::new(SHARDS),
+        Arc::clone(&rm_solo),
+        |_| Ok(graph().0),
+    )
+    .expect("pipeline builds");
+
+    let (mut ctl_thr, mut ctl_solo) = (controller(), controller());
+    let (mut turns_thr, mut turns_solo) = (Vec::new(), Vec::new());
+    for (i, batch) in batches.iter().enumerate() {
+        threaded.dispatch(PacketBatch::from_packets(batch.clone()));
+        solo.dispatch(PacketBatch::from_packets(batch.clone()));
+        if i % TURN_EVERY == TURN_EVERY - 1 {
+            threaded.flush();
+            let holds = ctl_thr.holds();
+            let turn = threaded.control_turn(&mut ctl_thr, &[]);
+            turns_thr.push(classify(turn, &ctl_thr, holds));
+            let holds = ctl_solo.holds();
+            let turn = solo.control_turn(&mut ctl_solo);
+            turns_solo.push(classify(turn, &ctl_solo, holds));
+        }
+    }
+
+    assert_eq!(turns_thr, turns_solo, "decision sequences diverged");
+    assert_eq!(turns_thr[0], Turn::Gathering, "64 < min_samples packets");
+    assert!(
+        turns_thr.iter().any(|t| matches!(t, Turn::Migrate(_))),
+        "the skew must migrate: {turns_thr:?}"
+    );
+    assert!(
+        turns_thr.contains(&Turn::Hold),
+        "some turn must hold: {turns_thr:?}"
+    );
+    assert_eq!(
+        threaded.bucket_map(),
+        solo.bucket_map(),
+        "final tables diverged"
+    );
+    let rebalances = |rm: &ResourceManager, task| {
+        rm.task_info(task)
+            .unwrap()
+            .usage
+            .get(classes::REBALANCES)
+            .copied()
+            .unwrap_or(0)
+    };
+    assert_eq!(
+        rebalances(&rm_thr, threaded.task()),
+        rebalances(&rm_solo, solo.task()),
+        "REBALANCES usage diverged"
+    );
+    assert_eq!(rebalances(&rm_solo, solo.task()), solo.migrations());
+    threaded.shutdown();
 }
