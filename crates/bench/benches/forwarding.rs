@@ -250,7 +250,7 @@ fn bench_shards(c: &mut Criterion) {
 
         // NETKIT through the multi-queue NIC path: hardware RSS has
         // already steered every burst onto its worker's ring
-        // (`Nic::inject_rx_rss` → `rx_burst_queue`), so the submitting
+        // (`Nic::inject_rx_frame` → `rx_burst_batch`), so the submitting
         // thread pays one ring enqueue per batch and no partition at
         // all. This is the architecture's real fast path; the
         // `netkit_sharded` entry above additionally pays the software

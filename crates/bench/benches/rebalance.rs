@@ -51,9 +51,7 @@ use netkit_bench::{netkit_sharded_chain, test_packet};
 use netkit_kernel::shard::ShardSpec;
 use netkit_packet::batch::PacketBatch;
 use netkit_packet::packet::Packet;
-use netkit_router::shard::{
-    RebalanceController, RebalancePolicy, ShardedPipeline, WeightedRebalancePolicy,
-};
+use netkit_router::shard::{RebalanceController, RebalancePolicy, ShardedPipeline};
 
 const BATCH: usize = 32;
 const CHAIN: usize = 12;
@@ -148,10 +146,10 @@ fn bench_elephant(c: &mut Criterion) {
         let (pipe, _sinks) = netkit_sharded_chain(CHAIN, spec).expect("rig");
         drive(&pipe, &skewed); // profiling window
         let mut ctl = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy::default(),
+            RebalancePolicy {
                 pressure_weight: 0.0,
                 decay: 1.0,
+                ..RebalancePolicy::default()
             },
             0,
         );
@@ -237,13 +235,10 @@ fn bench_elephant(c: &mut Criterion) {
 
 fn controller(min_samples: u64, decay: f64) -> RebalanceController {
     RebalanceController::new(
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples,
-            },
-            pressure_weight: 1.0,
+        RebalancePolicy {
+            min_samples,
             decay,
+            ..RebalancePolicy::default() // max_imbalance 1.25, pressure_weight 1.0
         },
         0,
     )

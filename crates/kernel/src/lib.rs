@@ -14,8 +14,8 @@
 //! * [`mem`] — quota-policed memory accounting for the resources
 //!   meta-model and the footprint experiments.
 //! * [`nic`] — simulated NICs with bounded multi-queue rx/tx rings
-//!   (RSS steering via `inject_rx_rss`, per-worker
-//!   `rx_burst_queue`/`tx_burst_queue`).
+//!   (RSS steering in `inject_rx_frame`, per-worker zero-copy
+//!   `rx_burst_batch`/`tx_burst_packets`, wire-side `drain_tx_frame`).
 //! * [`shard`] — the sharded run-to-completion worker-pool runtime
 //!   ([`shard::ShardSpec`], [`shard::WorkerPool`]) with the epoch-based
 //!   quiesce protocol that keeps reflective reconfiguration atomic

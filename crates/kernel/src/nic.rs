@@ -12,18 +12,14 @@
 //! A NIC built with [`Nic::with_queues`] exposes one rx ring and one tx
 //! ring *per worker* — the simulated equivalent of hardware
 //! receive-side scaling. The wire side steers each frame with
-//! [`Nic::inject_rx_rss`] (hash → queue, the hash being what hardware
-//! would compute from the flow tuple, see
+//! [`Nic::inject_rx_frame`] (hash → queue, the hash being what hardware
+//! computes from the flow tuple, see
 //! `netkit_packet::flow::FlowKey::rss_hash`); each worker then drains
-//! *its own* queue with [`Nic::rx_burst_queue`] and transmits on its own
-//! ring with [`Nic::tx_burst_queue`], so the fast path shares nothing
-//! between workers. Rings are SPSC channels (crossbeam shim); the
-//! single-queue constructor [`Nic::new`] and the queue-less API
-//! (`inject_rx`/`poll_rx`/`rx_burst`/`send_tx`/`tx_burst`/`drain_tx`)
-//! keep their original single-ring semantics on queue 0 — except the
-//! *consuming* sides (`poll_rx`, `rx_burst`, `drain_tx`), which scan
-//! queues in index order so no frame is ever stranded for a
-//! queue-oblivious caller.
+//! *its own* queue with [`Nic::rx_burst_batch`] and transmits on its
+//! own ring with [`Nic::tx_burst_packets`], so the fast path shares
+//! nothing between workers. Rings are SPSC channels (crossbeam shim);
+//! [`Nic::new`] builds a single-queue NIC. A queue-oblivious consumer
+//! scans the queues in index order so no frame is ever stranded.
 //!
 //! ## The indirection table
 //!
@@ -65,9 +61,7 @@
 //! a heap buffer is frozen (refcount transfer), never copied. The wire
 //! side drains with [`Nic::drain_tx_frame`], whose [`TxFrame`] derefs
 //! to the bytes and, on drop, returns pooled slabs to their
-//! [`BufferPool`]. The legacy `Bytes` APIs (`send_tx`, `tx_burst*`,
-//! `drain_tx*`) remain; their consuming side detaches pooled slabs
-//! (documented, off the fast path) exactly like the legacy rx API.
+//! [`BufferPool`].
 
 use std::fmt;
 use std::ops::Deref;
@@ -123,10 +117,10 @@ impl<T> Ring<T> {
     }
 }
 
-/// Frame storage in a NIC ring, either direction: shared bytes (legacy
-/// injection / submit paths) or a slab still leased from a
-/// [`BufferPool`] (the zero-copy paths — the lease survives the ring
-/// and recycles wherever the frame is finally dropped).
+/// Frame storage in a NIC ring, either direction: shared heap bytes (a
+/// NIC without a pool, a heap-built packet) or a slab still leased from
+/// a [`BufferPool`] (the lease survives the ring and recycles wherever
+/// the frame is finally dropped).
 enum FrameBuf {
     Shared(Bytes),
     Pooled(PooledBuf),
@@ -137,15 +131,6 @@ impl FrameBuf {
         match self {
             FrameBuf::Shared(b) => b,
             FrameBuf::Pooled(b) => b,
-        }
-    }
-
-    fn into_bytes(self) -> Bytes {
-        match self {
-            FrameBuf::Shared(b) => b,
-            // Detached from the pool: the legacy `Bytes` APIs trade
-            // recycling for compatibility.
-            FrameBuf::Pooled(b) => b.into_bytes().freeze(),
         }
     }
 }
@@ -160,21 +145,15 @@ struct RxFrame {
 }
 
 impl RxFrame {
-    fn into_bytes(self) -> Bytes {
-        self.buf.into_bytes()
-    }
-
     /// Materialises the frame as an rss-stamped packet. Pooled buffers
-    /// move in without copying; a missing hash (legacy injection paths)
-    /// is computed here — once, at materialisation.
+    /// move in without copying; the hash is the one computed at
+    /// injection (`None` for frames with no flow tuple).
     fn into_packet(self) -> Packet {
         let mut pkt = match self.buf {
             FrameBuf::Shared(b) => Packet::new(BytesMut::from(&b[..])),
             FrameBuf::Pooled(b) => Packet::from_pooled(b),
         };
-        pkt.meta.rss_hash = self
-            .rss
-            .or_else(|| FlowKey::from_packet(&pkt).map(|k| k.rss_hash()));
+        pkt.meta.rss_hash = self.rss;
         pkt
     }
 }
@@ -182,19 +161,9 @@ impl RxFrame {
 /// A transmit frame drained off a tx ring by the wire side
 /// ([`Nic::drain_tx_frame`]). Derefs to the frame bytes; dropping it
 /// returns a pool-leased slab to its [`BufferPool`], which is what
-/// keeps the steady-state tx path allocation-free. Use
-/// [`Self::into_bytes`] only when the bytes must outlive the lease
-/// (it detaches pooled slabs).
+/// keeps the steady-state tx path allocation-free.
 pub struct TxFrame {
     buf: FrameBuf,
-}
-
-impl TxFrame {
-    /// Detaches the frame into plain shared bytes (pooled slabs are
-    /// not recycled afterwards — off the zero-copy path).
-    pub fn into_bytes(self) -> Bytes {
-        self.buf.into_bytes()
-    }
 }
 
 impl Deref for TxFrame {
@@ -221,18 +190,19 @@ impl fmt::Debug for TxFrame {
 /// # Examples
 ///
 /// ```
-/// use bytes::Bytes;
 /// use netkit_kernel::nic::{Nic, PortId};
+/// use netkit_packet::batch::PacketBatch;
 ///
 /// let nic = Nic::new(PortId(0), 4, 4, 1_000_000_000);
-/// nic.inject_rx(Bytes::from_static(b"frame"));
-/// assert_eq!(nic.poll_rx().as_deref(), Some(b"frame".as_ref()));
-/// assert_eq!(nic.poll_rx(), None);
+/// assert!(nic.inject_rx_frame(b"frame"));
+/// let mut batch = PacketBatch::new();
+/// assert_eq!(nic.rx_burst_batch(0, 32, &mut batch), 1);
+/// assert_eq!(batch.packets()[0].data(), b"frame");
 ///
-/// // Multi-queue: RSS steering on inject, per-worker burst drain.
-/// let mq = Nic::with_queues(PortId(1), 4, 16, 16, 1_000_000_000);
-/// mq.inject_rx_rss(7, Bytes::from_static(b"flow"));
-/// assert_eq!(mq.rx_burst_queue(7 % 4, 32).len(), 1);
+/// // The packet moves onto the tx ring and off onto the wire.
+/// assert_eq!(nic.tx_burst_packets(0, batch), 1);
+/// assert_eq!(&*nic.drain_tx_frame(0).unwrap(), b"frame");
+/// assert!(nic.drain_tx_frame(0).is_none());
 /// ```
 pub struct Nic {
     port: PortId,
@@ -352,35 +322,6 @@ impl Nic {
         }
     }
 
-    /// Delivers a frame into rx queue 0 (called by the wire side).
-    /// Returns `false` and counts a drop if the ring is full.
-    pub fn inject_rx(&self, frame: Bytes) -> bool {
-        self.inject_into(
-            0,
-            RxFrame {
-                buf: FrameBuf::Shared(frame),
-                rss: None,
-            },
-        )
-    }
-
-    /// Delivers a frame into the rx queue selected by the RSS `hash`
-    /// through the installed indirection table (identity table:
-    /// `bucket % queues`) — the hardware steering step that keeps every
-    /// flow on one worker. The hash travels with the frame and is
-    /// stamped into `meta.rss_hash` at materialisation. Returns `false`
-    /// and counts a drop if that ring is full.
-    pub fn inject_rx_rss(&self, hash: u64, frame: Bytes) -> bool {
-        let queue = self.steering.read().shard_of_hash(hash) % self.rx.len();
-        self.inject_into(
-            queue,
-            RxFrame {
-                buf: FrameBuf::Shared(frame),
-                rss: Some(hash),
-            },
-        )
-    }
-
     /// The full hardware rx path in one call: computes the flow's RSS
     /// hash from the wire bytes (once — the hash then travels with the
     /// frame), copies them into a buffer leased from the attached
@@ -410,68 +351,14 @@ impl Nic {
         self.inject_into(queue, RxFrame { buf, rss })
     }
 
-    /// Takes the next received frame, scanning queues in index order
-    /// (queue-oblivious consumers never strand frames). Pool-leased
-    /// frames are detached (not recycled) — use
-    /// [`Self::rx_burst_batch`] on the fast path.
-    pub fn poll_rx(&self) -> Option<Bytes> {
-        self.rx
-            .iter()
-            .find_map(|ring| ring.rx.try_recv().ok())
-            .map(RxFrame::into_bytes)
-    }
-
-    /// Takes the next frame from rx queue `queue` only (the per-worker
-    /// poll path).
-    pub fn poll_rx_queue(&self, queue: usize) -> Option<Bytes> {
-        Some(self.rx.get(queue)?.rx.try_recv().ok()?.into_bytes())
-    }
-
-    /// Takes up to `max` received frames across all queues in index
-    /// order — the poll-mode-driver burst receive for single-worker
-    /// callers. Per-queue frame order matches repeated
-    /// [`Self::poll_rx`] calls.
-    pub fn rx_burst(&self, max: usize) -> Vec<Bytes> {
-        let mut out = Vec::with_capacity(max.min(64));
-        for ring in &self.rx {
-            while out.len() < max {
-                match ring.rx.try_recv() {
-                    Ok(frame) => out.push(frame.into_bytes()),
-                    Err(_) => break,
-                }
-            }
-            if out.len() >= max {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Takes up to `max` frames from rx queue `queue` only — each
-    /// dataplane worker bursts from its own ring, sharing nothing.
-    /// Returns an empty burst for unknown queues.
-    pub fn rx_burst_queue(&self, queue: usize, max: usize) -> Vec<Bytes> {
-        let Some(ring) = self.rx.get(queue) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(max.min(64));
-        while out.len() < max {
-            match ring.rx.try_recv() {
-                Ok(frame) => out.push(frame.into_bytes()),
-                Err(_) => break,
-            }
-        }
-        out
-    }
-
     /// The zero-copy worker receive: takes up to `max` frames from rx
     /// queue `queue` and appends them to `batch` as rss-stamped
     /// [`Packet`]s. Pool-leased frame buffers move into the packets
     /// without copying (and return to the pool when the packets drop);
-    /// frames from the legacy `Bytes` injection paths are copied once.
-    /// Every materialised packet carries `meta.rss_hash` — the hash
-    /// computed at injection when available, else parsed here, exactly
-    /// once — so no downstream steering decision re-parses headers.
+    /// heap frames of a pool-less NIC are copied once. Every
+    /// materialised flow packet carries `meta.rss_hash` — the hash
+    /// computed at injection — so no downstream steering decision
+    /// re-parses headers.
     /// Returns the number of packets appended (0 for unknown queues).
     pub fn rx_burst_batch(&self, queue: usize, max: usize, batch: &mut PacketBatch) -> usize {
         let Some(ring) = self.rx.get(queue) else {
@@ -518,13 +405,6 @@ impl Nic {
             Ok(slab) => FrameBuf::Pooled(slab),
             Err(pkt) => FrameBuf::Shared(pkt.into_data().freeze()),
         }
-    }
-
-    /// Queues a frame for transmission on tx queue 0 (called by the
-    /// router side). Returns `false` and counts a drop if the ring is
-    /// full.
-    pub fn send_tx(&self, frame: Bytes) -> bool {
-        self.send_into(0, FrameBuf::Shared(frame))
     }
 
     /// Queues a packet for transmission on tx queue `queue`, **moving**
@@ -576,58 +456,6 @@ impl Nic {
         accepted
     }
 
-    /// Queues a burst of frames on tx queue 0 under the single-queue
-    /// semantics: frames are accepted in order until the ring fills, the
-    /// remainder are dropped and counted. Returns the number accepted.
-    pub fn tx_burst(&self, frames: impl IntoIterator<Item = Bytes>) -> usize {
-        self.tx_burst_queue(0, frames)
-    }
-
-    /// Queues a burst of frames on tx queue `queue` — the per-worker
-    /// transmit path. Unknown queues drop (and count) every frame.
-    /// Returns the number of frames accepted.
-    pub fn tx_burst_queue(&self, queue: usize, frames: impl IntoIterator<Item = Bytes>) -> usize {
-        let Some(ring) = self.tx.get(queue) else {
-            let dropped = frames.into_iter().count() as u64;
-            self.tx_dropped.fetch_add(dropped, Ordering::Relaxed);
-            return 0;
-        };
-        let mut accepted = 0usize;
-        let mut accepted_bytes = 0u64;
-        let mut dropped = 0u64;
-        for frame in frames {
-            let len = frame.len() as u64;
-            match ring.tx.try_send(FrameBuf::Shared(frame)) {
-                Ok(()) => {
-                    accepted += 1;
-                    accepted_bytes += len;
-                }
-                Err(_) => dropped += 1,
-            }
-        }
-        self.tx_frames.fetch_add(accepted as u64, Ordering::Relaxed);
-        self.tx_bytes.fetch_add(accepted_bytes, Ordering::Relaxed);
-        self.tx_dropped.fetch_add(dropped, Ordering::Relaxed);
-        accepted
-    }
-
-    /// Takes the next frame to put on the wire, scanning tx queues in
-    /// index order (called by the wire side). Pool-leased frames are
-    /// detached (not recycled) — use [`Self::drain_tx_frame`] on the
-    /// fast path.
-    pub fn drain_tx(&self) -> Option<Bytes> {
-        self.tx
-            .iter()
-            .find_map(|ring| ring.rx.try_recv().ok())
-            .map(FrameBuf::into_bytes)
-    }
-
-    /// Takes the next frame from tx queue `queue` only (legacy `Bytes`
-    /// form; pooled frames detach — see [`Self::drain_tx_frame`]).
-    pub fn drain_tx_queue(&self, queue: usize) -> Option<Bytes> {
-        Some(self.tx.get(queue)?.rx.try_recv().ok()?.into_bytes())
-    }
-
     /// The zero-copy wire-side drain: takes the next frame from tx
     /// queue `queue` as a [`TxFrame`]. Dropping the frame after
     /// serialising it returns a pool-leased slab to its pool, closing
@@ -673,32 +501,56 @@ impl fmt::Debug for Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netkit_packet::packet::PacketBuilder;
 
-    fn frame(n: u8) -> Bytes {
-        Bytes::from(vec![n; 64])
+    /// A 64-byte non-flow frame (no IPv4 ethertype): steers with
+    /// bucket 0, i.e. onto queue 0 under the identity table.
+    fn frame(n: u8) -> [u8; 64] {
+        [n; 64]
+    }
+
+    /// UDP frames whose flows steer to `queue` of `queues` under the
+    /// identity table, with distinct source ports from `first` up.
+    fn flows_on(queues: usize, queue: usize, first: u16, n: usize) -> Vec<Packet> {
+        let map = BucketMap::identity(queues);
+        (first..)
+            .map(|port| PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", port, 80).build())
+            .filter(|p| {
+                let hash = FlowKey::from_packet(p).unwrap().rss_hash();
+                map.shard_of_hash(hash) == queue
+            })
+            .take(n)
+            .collect()
+    }
+
+    /// Takes one packet off rx queue `queue`.
+    fn poll(nic: &Nic, queue: usize) -> Option<Packet> {
+        let mut batch = PacketBatch::new();
+        nic.rx_burst_batch(queue, 1, &mut batch);
+        batch.pop()
     }
 
     #[test]
     fn rx_ring_drops_when_full() {
         let nic = Nic::new(PortId(1), 2, 2, 1_000_000);
-        assert!(nic.inject_rx(frame(1)));
-        assert!(nic.inject_rx(frame(2)));
-        assert!(!nic.inject_rx(frame(3)));
+        assert!(nic.inject_rx_frame(&frame(1)));
+        assert!(nic.inject_rx_frame(&frame(2)));
+        assert!(!nic.inject_rx_frame(&frame(3)));
         let s = nic.stats();
         assert_eq!((s.rx_frames, s.rx_dropped), (2, 1));
-        assert_eq!(nic.poll_rx().unwrap()[0], 1);
-        assert!(nic.inject_rx(frame(4)), "space reclaimed after poll");
+        assert_eq!(poll(&nic, 0).unwrap().data()[0], 1);
+        assert!(nic.inject_rx_frame(&frame(4)), "space reclaimed after poll");
     }
 
     #[test]
     fn tx_ring_fifo_and_counters() {
         let nic = Nic::new(PortId(0), 2, 2, 1_000_000);
-        assert!(nic.send_tx(frame(1)));
-        assert!(nic.send_tx(frame(2)));
-        assert!(!nic.send_tx(frame(3)));
-        assert_eq!(nic.drain_tx().unwrap()[0], 1);
-        assert_eq!(nic.drain_tx().unwrap()[0], 2);
-        assert_eq!(nic.drain_tx(), None);
+        assert!(nic.send_tx_packet(0, Packet::from_slice(&frame(1))));
+        assert!(nic.send_tx_packet(0, Packet::from_slice(&frame(2))));
+        assert!(!nic.send_tx_packet(0, Packet::from_slice(&frame(3))));
+        assert_eq!(nic.drain_tx_frame(0).unwrap()[0], 1);
+        assert_eq!(nic.drain_tx_frame(0).unwrap()[0], 2);
+        assert!(nic.drain_tx_frame(0).is_none());
         let s = nic.stats();
         assert_eq!((s.tx_frames, s.tx_dropped, s.tx_bytes), (2, 1, 128));
     }
@@ -721,45 +573,53 @@ mod tests {
     fn rss_steering_keeps_hash_on_its_queue() {
         let nic = Nic::with_queues(PortId(0), 4, 8, 8, 1_000_000);
         assert_eq!(nic.queues(), 4);
-        for hash in 0..16u64 {
-            assert!(nic.inject_rx_rss(hash, frame(hash as u8)));
+        for queue in 0..4 {
+            for pkt in flows_on(4, queue, 1_000, 4) {
+                assert!(nic.inject_rx_frame(pkt.data()));
+            }
         }
         // Each queue holds exactly the frames whose hash maps to it.
+        let map = BucketMap::identity(4);
         for queue in 0..4usize {
-            let burst = nic.rx_burst_queue(queue, 32);
-            assert_eq!(burst.len(), 4);
-            for f in burst {
-                assert_eq!(f[0] as usize % 4, queue);
+            let mut burst = PacketBatch::new();
+            assert_eq!(nic.rx_burst_batch(queue, 32, &mut burst), 4);
+            for pkt in burst.iter() {
+                assert_eq!(map.shard_of_hash(pkt.meta.rss_hash.unwrap()), queue);
             }
         }
         assert_eq!(nic.rx_pending(), 0);
-        assert_eq!(nic.rx_burst_queue(9, 4), Vec::<Bytes>::new());
+        assert_eq!(nic.rx_burst_batch(9, 4, &mut PacketBatch::new()), 0);
     }
 
     #[test]
     fn per_queue_rings_are_independently_bounded() {
         let nic = Nic::with_queues(PortId(0), 2, 2, 2, 1_000_000);
         // Fill queue 0; queue 1 still accepts.
-        assert!(nic.inject_rx_rss(0, frame(1)));
-        assert!(nic.inject_rx_rss(2, frame(2)));
-        assert!(!nic.inject_rx_rss(4, frame(3)), "queue 0 full");
-        assert!(nic.inject_rx_rss(1, frame(4)), "queue 1 unaffected");
+        let q0 = flows_on(2, 0, 1_000, 3);
+        assert!(nic.inject_rx_frame(q0[0].data()));
+        assert!(nic.inject_rx_frame(q0[1].data()));
+        assert!(!nic.inject_rx_frame(q0[2].data()), "queue 0 full");
+        let q1 = flows_on(2, 1, 1_000, 1);
+        assert!(nic.inject_rx_frame(q1[0].data()), "queue 1 unaffected");
         let s = nic.stats();
         assert_eq!((s.rx_frames, s.rx_dropped), (3, 1));
     }
 
     #[test]
     fn queue_oblivious_consumers_see_all_queues() {
+        // Occupancy and counters aggregate over queues: a caller that
+        // never names a queue still sees traffic parked on queue 1.
         let nic = Nic::with_queues(PortId(0), 2, 4, 4, 1_000_000);
-        nic.inject_rx_rss(1, frame(11)); // queue 1
-        assert_eq!(nic.poll_rx().unwrap()[0], 11, "poll_rx scans queues");
-        nic.tx_burst_queue(1, [frame(9)]);
-        assert_eq!(nic.drain_tx().unwrap()[0], 9, "drain_tx scans queues");
+        let on_q1 = flows_on(2, 1, 1_000, 1).pop().unwrap();
+        assert!(nic.inject_rx_frame(on_q1.data()));
+        assert_eq!(nic.rx_pending(), 1, "rx_pending sums every queue");
+        assert!(nic.send_tx_packet(1, on_q1));
+        assert_eq!(nic.tx_pending(), 1, "tx_pending sums every queue");
+        assert_eq!((nic.stats().rx_frames, nic.stats().tx_frames), (1, 1));
     }
 
     #[test]
     fn pooled_rx_frames_recycle_through_packets() {
-        use netkit_packet::packet::PacketBuilder;
         let pool = BufferPool::new(2048, 0, 8);
         let nic = Nic::with_queues(PortId(0), 2, 8, 8, 1_000_000).with_buffer_pool(pool.clone());
         assert!(nic.buffer_pool().is_some());
@@ -787,7 +647,6 @@ mod tests {
 
     #[test]
     fn inject_rx_frame_without_pool_still_steers_and_stamps() {
-        use netkit_packet::packet::PacketBuilder;
         let nic = Nic::with_queues(PortId(0), 4, 8, 8, 1_000_000);
         let wire = PacketBuilder::udp_v4("10.0.0.9", "10.0.0.2", 7, 8).build();
         let key = FlowKey::from_packet(&wire).unwrap();
@@ -806,35 +665,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_rss_injection_hash_is_stamped_at_materialisation() {
-        let nic = Nic::with_queues(PortId(0), 4, 8, 8, 1_000_000);
-        nic.inject_rx_rss(9, frame(1));
-        let mut batch = PacketBatch::new();
-        assert_eq!(nic.rx_burst_batch(9 % 4, 32, &mut batch), 1);
-        assert_eq!(batch.packets()[0].meta.rss_hash, Some(9));
-        // And legacy Bytes consumers still see pooled frames.
-        let pool = BufferPool::new(256, 0, 4);
-        let pooled = Nic::new(PortId(1), 4, 4, 1_000_000).with_buffer_pool(pool.clone());
-        assert!(pooled.inject_rx_frame(&[0u8; 14]));
-        assert_eq!(pooled.poll_rx().unwrap().len(), 14);
-        // Detached, not recycled — documented legacy behaviour.
-        assert_eq!(pool.stats().recycled, 0);
-    }
-
-    #[test]
     fn indirection_table_redirects_buckets() {
-        use netkit_packet::steer::bucket_of;
         let nic = Nic::with_queues(PortId(0), 4, 8, 8, 1_000_000);
         assert!(nic.indirection().is_identity());
-        // Migrate hash 5's bucket from queue 1 to queue 3.
+        // Migrate a queue-1 flow's bucket to queue 3.
+        let flow = flows_on(4, 1, 1_000, 1).pop().unwrap();
         let mut map = nic.indirection();
-        map.set(bucket_of(5), 3);
+        map.set(FlowKey::from_packet(&flow).unwrap().bucket(), 3);
         nic.set_indirection(map);
-        assert!(nic.inject_rx_rss(5, frame(5)));
-        assert_eq!(nic.rx_burst_queue(1, 4).len(), 0, "old queue empty");
-        assert_eq!(nic.rx_burst_queue(3, 4).len(), 1, "bucket followed table");
-        // inject_rx_frame steers through the same table.
-        use netkit_packet::packet::PacketBuilder;
+        assert!(nic.inject_rx_frame(flow.data()));
+        let mut batch = PacketBatch::new();
+        assert_eq!(nic.rx_burst_batch(1, 4, &mut batch), 0, "old queue empty");
+        assert_eq!(
+            nic.rx_burst_batch(3, 4, &mut batch),
+            1,
+            "bucket followed table"
+        );
+        // A second remap: the next frame follows the new entry.
         let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
         let key = FlowKey::from_packet(&wire).unwrap();
         let mut map = nic.indirection();
@@ -848,7 +695,6 @@ mod tests {
 
     #[test]
     fn tx_packets_keep_their_pool_lease_through_the_ring() {
-        use netkit_packet::packet::PacketBuilder;
         let pool = BufferPool::new(2048, 0, 8);
         let nic = Nic::with_queues(PortId(0), 2, 8, 8, 1_000_000).with_buffer_pool(pool.clone());
         let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1234, 80).build();
@@ -883,39 +729,32 @@ mod tests {
     }
 
     #[test]
-    fn legacy_drain_detaches_pooled_tx_frames() {
-        use netkit_packet::packet::PacketBuilder;
-        let pool = BufferPool::new(2048, 0, 8);
-        let nic = Nic::new(PortId(0), 8, 8, 1_000_000).with_buffer_pool(pool.clone());
-        let wire = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 7, 8).build();
-        assert!(nic.inject_rx_frame(wire.data()));
-        let mut batch = PacketBatch::new();
-        nic.rx_burst_batch(0, 4, &mut batch);
-        assert_eq!(nic.tx_burst_packets(0, batch), 1);
-        // Legacy Bytes drain: correct bytes, but the slab detaches.
-        assert_eq!(nic.drain_tx().as_deref(), Some(wire.data()));
-        assert_eq!(pool.stats().recycled, 0, "documented legacy trade-off");
-    }
-
-    #[test]
     fn zero_queue_nic_equals_single_queue() {
         let nic = Nic::with_queues(PortId(0), 0, 4, 4, 1_000_000);
         assert_eq!(nic.queues(), 1);
-        assert!(nic.inject_rx_rss(12345, frame(1)), "all hashes map to q0");
-        assert_eq!(nic.rx_burst_queue(0, 4).len(), 1);
+        for pkt in flows_on(4, 3, 1_000, 1) {
+            assert!(nic.inject_rx_frame(pkt.data()), "all hashes map to q0");
+        }
+        assert_eq!(nic.rx_burst_batch(0, 4, &mut PacketBatch::new()), 1);
     }
 
     #[test]
     fn per_worker_tx_queues_count_into_one_stats_block() {
         let nic = Nic::with_queues(PortId(0), 2, 2, 1, 1_000_000);
-        assert_eq!(nic.tx_burst_queue(0, [frame(1), frame(2)]), 1);
-        assert_eq!(nic.tx_burst_queue(1, [frame(3)]), 1);
-        assert_eq!(nic.tx_burst_queue(7, [frame(4)]), 0, "unknown queue");
+        let batch = |frames: &[u8]| -> PacketBatch {
+            frames
+                .iter()
+                .map(|&n| Packet::from_slice(&frame(n)))
+                .collect()
+        };
+        assert_eq!(nic.tx_burst_packets(0, batch(&[1, 2])), 1);
+        assert_eq!(nic.tx_burst_packets(1, batch(&[3])), 1);
+        assert_eq!(nic.tx_burst_packets(7, batch(&[4])), 0, "unknown queue");
         let s = nic.stats();
         assert_eq!((s.tx_frames, s.tx_dropped, s.tx_bytes), (2, 2, 128));
-        assert_eq!(nic.drain_tx_queue(0).unwrap()[0], 1);
-        assert_eq!(nic.drain_tx_queue(1).unwrap()[0], 3);
-        assert_eq!(nic.drain_tx_queue(9), None);
-        assert_eq!(nic.poll_rx_queue(0), None);
+        assert_eq!(nic.drain_tx_frame(0).unwrap()[0], 1);
+        assert_eq!(nic.drain_tx_frame(1).unwrap()[0], 3);
+        assert!(nic.drain_tx_frame(9).is_none());
+        assert!(poll(&nic, 0).is_none());
     }
 }

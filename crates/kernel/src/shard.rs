@@ -241,7 +241,7 @@ impl From<SharedShardRange> for ShardJob {
 }
 
 /// Why a submission bounced — the classification
-/// [`WorkerPool::try_submit_tagged`] reports so callers can tell
+/// [`WorkerPool::try_submit`] reports so callers can tell
 /// backpressure (ring pressure, shed load) from faults (a dead worker,
 /// whose traffic is a recovery concern) from caller error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -274,9 +274,9 @@ struct GateState {
     /// `flush` — only *live* shards' counts gate it.
     in_flight: Vec<usize>,
     /// Per-shard high-water mark of `in_flight` — the ring-occupancy
-    /// meter the rebalancer reads to spot a backed-up shard. Reset via
-    /// [`WorkerPool::reset_ring_high_water`] to start a new observation
-    /// window.
+    /// meter the rebalancer reads to spot a backed-up shard. Reset by
+    /// [`WorkerPool::take_ring_high_water`], which starts a new
+    /// observation window.
     ring_hwm: Vec<usize>,
 }
 
@@ -587,30 +587,19 @@ impl<T: Send + 'static> WorkerPool<T> {
 
     /// Enqueues `item` on `shard`'s ring without blocking; a full ring
     /// counts as a rejection (the multi-queue analogue of an rx-ring
-    /// tail drop). A dead worker fails fast like [`Self::submit`],
-    /// without counting toward [`Self::rejected`] — that meter is
-    /// ring-pressure evidence, not a fault log.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item when the ring is full, the shard is out of
-    /// range, or the worker died.
-    pub fn try_submit(&self, shard: usize, item: T) -> Result<(), T> {
-        self.try_submit_tagged(shard, item)
-            .map_err(|(item, _)| item)
-    }
-
-    /// [`Self::try_submit`] with the rejection *classified*: the caller
-    /// learns whether a bounced item is backpressure evidence
+    /// tail drop). The rejection is *classified*: the caller learns
+    /// whether a bounced item is backpressure evidence
     /// ([`SubmitRejection::RingFull`] — counted in [`Self::rejected`])
-    /// or fault evidence ([`SubmitRejection::DeadWorker`] — not ring
-    /// pressure, so not counted there). Cause-tagged drop accounting in
-    /// the sharded router is built on this split.
+    /// or fault evidence ([`SubmitRejection::DeadWorker`], failing fast
+    /// like [`Self::submit`] — not ring pressure, so not counted
+    /// there). Cause-tagged drop accounting in the sharded router is
+    /// built on this split.
     ///
     /// # Errors
     ///
-    /// Returns the item and why it bounced.
-    pub fn try_submit_tagged(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
+    /// Returns the item and why it bounced: the ring is full, the
+    /// shard is out of range, or the worker died.
+    pub fn try_submit(&self, shard: usize, item: T) -> Result<(), (T, SubmitRejection)> {
         let Some(slot) = self.slots.get(shard) else {
             return Err((item, SubmitRejection::OutOfRange));
         };
@@ -910,29 +899,12 @@ impl<T: Send + 'static> WorkerPool<T> {
     }
 
     /// High-water mark of `shard`'s ring occupancy since the pool
-    /// started (or since the last [`Self::reset_ring_high_water`]) —
+    /// started (or since the last [`Self::take_ring_high_water`]) —
     /// the load meter that distinguishes a backed-up shard from a busy
     /// one: a shard whose high-water mark rides its ring capacity is
     /// receiving work faster than it retires it.
     pub fn ring_high_water(&self, shard: usize) -> Option<usize> {
         self.gate.lock().ring_hwm.get(shard).copied()
-    }
-
-    /// Resets every shard's ring-occupancy high-water mark to its
-    /// current occupancy, starting a fresh observation window.
-    ///
-    /// Bare reset discards the closing window's marks; a sampler that
-    /// wants them must use [`Self::take_ring_high_water`] — reading
-    /// `ring_high_water` first and resetting afterwards is a
-    /// read-then-reset race: a peak recorded between the two calls is
-    /// folded into the *old* window's (already sampled) mark and then
-    /// erased, so the new window under-reports a ring that was
-    /// provably nonempty. Callers closing windows at migration epochs
-    /// should reset from inside the quiesce (as
-    /// `ShardedPipeline::install_bucket_map` does), where no
-    /// submission can interleave with the boundary.
-    pub fn reset_ring_high_water(&self) {
-        let _ = self.take_ring_high_water();
     }
 
     /// Atomically closes the ring-occupancy observation window: in one
@@ -942,7 +914,13 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// concurrently lands in exactly one window — either it is part of
     /// the returned marks, or (arriving after) it raises the new
     /// window's mark from the live occupancy floor; it can never be
-    /// sampled into the old window and then zeroed out of the new one.
+    /// sampled into the old window and then zeroed out of the new one
+    /// (reading [`Self::ring_high_water`] and resetting afterwards
+    /// would race exactly that way). A caller that only wants a fresh
+    /// window drops the returned marks; callers closing windows at
+    /// migration epochs do it from inside the quiesce (as
+    /// `ShardedPipeline::install_bucket_map` does), where no
+    /// submission can interleave with the boundary.
     pub fn take_ring_high_water(&self) -> Vec<usize> {
         let mut st = self.gate.lock();
         let mut window = Vec::with_capacity(st.ring_hwm.len());
@@ -1032,7 +1010,7 @@ mod tests {
     fn out_of_range_shard_returns_item() {
         let pool = WorkerPool::start(ShardSpec::new(2), |_| Box::new(|_: u8| {}));
         assert_eq!(pool.submit(2, 7), Err(7));
-        assert_eq!(pool.try_submit(9, 8), Err(8));
+        assert_eq!(pool.try_submit(9, 8), Err((8, SubmitRejection::OutOfRange)));
     }
 
     #[test]
@@ -1056,7 +1034,7 @@ mod tests {
                                     // item 2 while the worker is wedged inside item 1.
         pool.submit(0, 2).unwrap();
         let bounced = pool.try_submit(0, 3);
-        assert_eq!(bounced, Err(3));
+        assert_eq!(bounced, Err((3, SubmitRejection::RingFull)));
         assert_eq!(pool.rejected(), 1);
         {
             let (lock, cv) = &*gate;
@@ -1181,7 +1159,7 @@ mod tests {
         }
         pool.flush();
         // New window: the mark restarts from current occupancy (0).
-        pool.reset_ring_high_water();
+        pool.take_ring_high_water();
         assert_eq!(pool.ring_high_water(0), Some(0));
         pool.submit(1, 0).unwrap();
         pool.flush();
@@ -1233,8 +1211,8 @@ mod tests {
         // A burst lands and fully retires between the sample and the
         // reset (its peak of 2 cannot raise the mark past 3)...
         burst(2);
-        pool.reset_ring_high_water();
-        // ...so the new window starts blind: occupancy 2 is gone.
+        let _ = pool.take_ring_high_water(); // the marks were read above
+                                             // ...so the new window starts blind: occupancy 2 is gone.
         assert_eq!(pool.ring_high_water(0), Some(0), "peak of 2 was erased");
 
         // --- the atomic close cannot ---------------------------------
@@ -1338,7 +1316,7 @@ mod tests {
         // Marked dead: both flavours bounce immediately, item intact,
         // and nothing is stranded in accounting (flush returns).
         assert_eq!(pool.submit(0, 2), Err(2));
-        assert_eq!(pool.try_submit(0, 3), Err(3));
+        assert_eq!(pool.try_submit(0, 3), Err((3, SubmitRejection::DeadWorker)));
         assert_eq!(pool.rejected(), 0, "a fault is not ring pressure");
         pool.flush();
         assert_eq!(pool.in_flight(), 0);
@@ -1437,12 +1415,12 @@ mod tests {
             })
         };
         assert_eq!(
-            pool.try_submit_tagged(7, 0).unwrap_err().1,
+            pool.try_submit(7, 0).unwrap_err().1,
             SubmitRejection::OutOfRange
         );
         pool.submit(0, 0).unwrap(); // worker parks on it
         pool.submit(0, 1).unwrap(); // fills the 1-deep ring
-        let (item, why) = pool.try_submit_tagged(0, 2).unwrap_err();
+        let (item, why) = pool.try_submit(0, 2).unwrap_err();
         assert_eq!((item, why), (2, SubmitRejection::RingFull));
         assert_eq!(pool.rejected(), 1, "ring pressure is counted");
 
@@ -1450,7 +1428,7 @@ mod tests {
         while pool.worker_alive(1) == Some(true) {
             std::thread::yield_now();
         }
-        let (item, why) = pool.try_submit_tagged(1, 3).unwrap_err();
+        let (item, why) = pool.try_submit(1, 3).unwrap_err();
         assert_eq!((item, why), (3, SubmitRejection::DeadWorker));
         assert_eq!(pool.rejected(), 1, "a fault is not ring pressure");
         {

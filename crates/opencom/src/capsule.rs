@@ -429,18 +429,23 @@ impl Capsule {
     // ---- adaptation -------------------------------------------------------
 
     /// Hot-replaces component `old` with (already hosted) component `new`:
-    /// every incoming edge is rebound to `new`'s equivalent interface,
     /// every outgoing binding is re-created from `new`'s equally named
-    /// receptacles, interceptor chains are preserved, and `old` is
+    /// receptacles, every incoming edge is rebound to `new`'s equivalent
+    /// interface, interceptor chains are preserved, and `old` is
     /// destroyed. If `old` was active, `new` is activated.
+    ///
+    /// The order is what makes [`Quiescence::PerEdge`] safe under live
+    /// calls: `new`'s outgoing edges exist before any caller is pointed
+    /// at it, and `old`'s stay bound until every caller is off it (each
+    /// rebind waits for the calls in flight on its edge). A call
+    /// therefore always meets a fully wired component, old or new.
     ///
     /// # Errors
     ///
     /// Fails if `new` lacks an interface or receptacle that the current
-    /// topology requires; the graph is left unchanged in that case for
-    /// incoming edges processed after the failure point (best-effort
-    /// rollback is not attempted — callers should validate `new`'s shape
-    /// via the CF first, which the Router CF does).
+    /// topology requires — before any caller is moved onto `new`
+    /// (`new`'s partial bindings are not rolled back; callers should
+    /// validate its shape via the CF first, which the Router CF does).
     pub fn replace(&self, old: ComponentId, new: ComponentId, mode: Quiescence) -> Result<()> {
         let _full_guard = match mode {
             Quiescence::FullGraph => Some(self.arch.quiesce()),
@@ -458,6 +463,20 @@ impl Capsule {
         let records = self.arch.binding_records();
         for rec in records.iter().filter(|r| r.dst == old) {
             new_comp.core().query_interface(rec.interface)?;
+        }
+
+        // Outgoing edges first: `new` is wired before anyone calls it.
+        for rec in records.iter().filter(|r| r.src == old) {
+            let effective = match &rec.chain {
+                Some(chain) => self
+                    .runtime
+                    .interceptors()
+                    .wrap_with(rec.raw.clone(), Arc::clone(chain))?,
+                None => rec.raw.clone(),
+            };
+            new_comp
+                .core()
+                .bind_receptacle(&rec.receptacle, &rec.label, effective)?;
         }
 
         // Incoming edges: point the sources at `new`.
@@ -479,18 +498,8 @@ impl Capsule {
             })?;
         }
 
-        // Outgoing edges: recreate them from `new`'s receptacles.
+        // No caller reaches `old` any more: retire its outgoing edges.
         for rec in records.iter().filter(|r| r.src == old) {
-            let effective = match &rec.chain {
-                Some(chain) => self
-                    .runtime
-                    .interceptors()
-                    .wrap_with(rec.raw.clone(), Arc::clone(chain))?,
-                None => rec.raw.clone(),
-            };
-            new_comp
-                .core()
-                .bind_receptacle(&rec.receptacle, &rec.label, effective)?;
             old_comp
                 .core()
                 .unbind_receptacle(&rec.receptacle, rec.dst, &rec.label)?;

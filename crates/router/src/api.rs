@@ -277,13 +277,20 @@
 //!   *retires* exactly the snapshot it was planned on, so packets
 //!   recorded mid-decision carry over to the next turn in full. The
 //!   gate, the plan, and the retire all judge the **same snapshot**.
-//! * **Decisions weigh pressure, not just throughput.** The
-//!   [`crate::shard::WeightedRebalancePolicy`] inflates each bucket's
-//!   count by its shard's ring occupancy (high-water / capacity,
-//!   scaled by `pressure_weight`), so a packet skew sitting just
-//!   under the imbalance threshold still converges once the hot
-//!   shard's queue backs up. `min_samples` always gates on raw
-//!   counts: pressure can amplify evidence, never conjure it.
+//! * **Decisions weigh pressure and bytes, not just packets.** One
+//!   [`crate::shard::RebalancePolicy`] judges every turn. Its judged
+//!   window inflates each bucket's count by its shard's ring occupancy
+//!   (high-water / capacity, scaled by `pressure_weight`), so a packet
+//!   skew sitting just under the imbalance threshold still converges
+//!   once the hot shard's queue backs up; with `heavy_blend > 0` it
+//!   also blends in the flow sketches' byte evidence. `min_samples`
+//!   always gates on raw counts: pressure and bytes can amplify
+//!   evidence, never conjure it.
+//! * **A band keeps transient skew from paying an epoch.** A plan is
+//!   made only after `arm_ticks` consecutive judged windows over
+//!   `max_imbalance`; a window under `exit` restarts the count. The
+//!   defaults (`arm_ticks = 1`, `exit = max_imbalance`) plan on the
+//!   first window over the threshold.
 //! * **Adaptation is rate-capped and backs off.** At most one
 //!   migration per `cooldown_ticks + 1` turns (each migration costs a
 //!   quiesce epoch), and the threaded loop multiplies its tick
@@ -310,31 +317,25 @@
 //! ```
 //! use netkit_packet::steer::{BucketMap, RSS_BUCKETS};
 //! use netkit_router::shard::control::{ControlDecision, RebalanceController};
-//! use netkit_router::shard::{RebalancePolicy, WeightedRebalancePolicy};
+//! use netkit_router::shard::RebalancePolicy;
 //!
-//! let mut ctl = RebalanceController::new(
-//!     WeightedRebalancePolicy {
-//!         base: RebalancePolicy { max_imbalance: 1.25, min_samples: 64 },
-//!         pressure_weight: 1.0,
-//!         decay: 0.5,
-//!     },
-//!     0,
-//! );
+//! // max_imbalance 1.25, min_samples 64, pressure_weight 1.0, decay 0.5.
+//! let mut ctl = RebalanceController::new(RebalancePolicy::default(), 0);
 //! let map = BucketMap::identity(2);
 //! let mut window = vec![0u64; RSS_BUCKETS];
 //!
 //! // Sub-min window: gathering — leave the meter untouched.
 //! window[0] = 32;
-//! assert!(matches!(ctl.decide(&window, &[], 1024, &map), ControlDecision::Gathering));
+//! assert!(matches!(ctl.decide(&window, &[], &[], 1024, &map), ControlDecision::Gathering));
 //!
 //! // Balanced window: judged, declined — the caller decays by 0.5.
 //! window[1] = 32;
-//! assert!(matches!(ctl.decide(&window, &[], 1024, &map), ControlDecision::Hold));
+//! assert!(matches!(ctl.decide(&window, &[], &[], 1024, &map), ControlDecision::Hold));
 //!
 //! // Colocated skew: the adapt arm fires with an improving plan.
 //! window[0] = 96;
 //! window[2] = 64; // bucket 2 -> shard 0 under identity(2)
-//! match ctl.decide(&window, &[], 1024, &map) {
+//! match ctl.decide(&window, &[], &[], 1024, &map) {
 //!     ControlDecision::Migrate(plan) => {
 //!         assert_eq!(plan.moved, vec![2]);
 //!         assert!(plan.imbalance_after < plan.imbalance_before);

@@ -487,8 +487,8 @@ impl DescBinding {
     ///
     /// # Errors
     ///
-    /// Propagates unknown core names (pre-validated descriptions
-    /// cannot hit this).
+    /// Propagates unknown or mistyped control knobs (pre-validated
+    /// descriptions cannot hit this).
     pub fn controller(&self) -> Result<Option<RebalanceController>> {
         self.desc
             .control

@@ -464,9 +464,7 @@ mod tests {
 
     #[test]
     fn control_and_steering_changes_are_pipeline_level_ops() {
-        let next = base()
-            .control("hysteresis", &[("enter", 1.5.into())])
-            .pin(7, 0);
+        let next = base().control(&[("max_imbalance", 1.5.into())]).pin(7, 0);
         let patch = diff(&base(), &next);
         assert!(patch.control_changed());
         assert!(patch.steering_changed());

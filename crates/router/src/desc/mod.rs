@@ -18,8 +18,9 @@
 //!   [`Params`], port-wired [`EdgeDesc`] edges, per-node match-action
 //!   [`TableEntry`] lists (classifier patterns, routes, VIP→backend
 //!   sets), optional bucket→shard steering pins, and an optional
-//!   [`ControlDesc`] selecting a
-//!   [`DecisionCore`](crate::shard::DecisionCore) by name.
+//!   [`ControlDesc`] setting the
+//!   [`RebalancePolicy`](crate::shard::RebalancePolicy) knobs the
+//!   pipeline's rebalance controller judges with.
 //! * [`PipelineDesc::validate`] — type-checks parameters against the
 //!   [`schema`] registry, rejects unknown kinds, dangling edge
 //!   endpoints, outputs on sink elements, duplicate single-output
@@ -402,13 +403,12 @@ impl TableEntry {
     }
 }
 
-/// The per-pipeline control section: which
-/// [`DecisionCore`](crate::shard::DecisionCore) judges rebalances, and
-/// its typed knobs (see [`schema::CONTROL_PARAMS`]).
+/// The per-pipeline control section: the typed knobs of the
+/// [`RebalancePolicy`](crate::shard::RebalancePolicy) that judges
+/// rebalances (see [`schema::CONTROL_PARAMS`]; unset knobs take the
+/// policy's defaults).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ControlDesc {
-    /// Core registry name: `"weighted"`, `"hysteresis"`, `"ewma"`.
-    pub core: String,
     /// Typed knobs; unknown names are rejected at validation.
     pub params: Params,
 }
@@ -543,10 +543,9 @@ impl PipelineDesc {
         self
     }
 
-    /// Selects the control core and its knobs (builder-style).
-    pub fn control(mut self, core: &str, params: &[(&str, ParamValue)]) -> Self {
+    /// Sets the control section's knobs (builder-style).
+    pub fn control(mut self, params: &[(&str, ParamValue)]) -> Self {
         self.control = Some(ControlDesc {
-            core: core.to_owned(),
             params: params
                 .iter()
                 .map(|(k, v)| ((*k).to_owned(), v.clone()))
@@ -767,7 +766,7 @@ impl PipelineDesc {
             let _ = shard; // shard bound is spec-dependent; checked at apply.
         }
 
-        // Control section: known core, known + typed knobs.
+        // Control section: known + typed knobs.
         if let Some(ctl) = &self.control {
             schema::check_control(ctl)?;
         }
@@ -862,7 +861,7 @@ impl PipelineDesc {
                 .map(|(k, v)| format!("{k}={}", v.render()))
                 .collect::<Vec<_>>()
                 .join(" ");
-            let _ = writeln!(out, "  control {} {{{params}}}", ctl.core);
+            let _ = writeln!(out, "  control {{{params}}}");
         }
         out
     }
@@ -1012,13 +1011,13 @@ mod tests {
 
     #[test]
     fn control_sections_are_checked() {
-        let d = chain().control("banana", &[]);
+        let d = chain().control(&[("max_imbalance", "high".into())]);
         assert!(d.validate().is_err());
-        let d = chain().control("weighted", &[("warp", 9.0.into())]);
+        let d = chain().control(&[("warp", 9.0.into())]);
         let err = d.validate().unwrap_err().to_string();
         assert!(err.contains("unknown control"), "{err}");
         chain()
-            .control("hysteresis", &[("enter", 1.5.into()), ("arm", 2u64.into())])
+            .control(&[("max_imbalance", 1.5.into()), ("arm", 2u64.into())])
             .validate()
             .unwrap();
     }

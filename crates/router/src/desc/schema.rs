@@ -26,7 +26,7 @@ use netkit_packet::sketch::FlowSketch;
 use crate::api::IClassifier;
 use crate::elements::{ClassifierEngine, Counter, Discard, IRouteControl, RouteLookup, Tee};
 use crate::flow::{ConnTracker, Guard, GuardConfig, L4LoadBalancer, Nat44, Nat44Config};
-use crate::shard::{core_by_name, RebalanceController, RebalancePolicy, WeightedRebalancePolicy};
+use crate::shard::{RebalanceController, RebalancePolicy};
 
 use super::compile::ElementHandle;
 use super::{ControlDesc, ParamValue, Params};
@@ -367,27 +367,25 @@ pub(super) fn construct(
     })
 }
 
-/// The control section's accepted knobs — all optional, all with the
-/// controller's established defaults.
+/// The control section's accepted knobs — all optional: one per
+/// [`RebalancePolicy`] field (`arm` sets `arm_ticks`) plus the
+/// controller's `cooldown_ticks`.
 pub const CONTROL_PARAMS: &[ParamSpec] = &[
     opt("max_imbalance", ParamType::Float),
-    opt("min_samples", ParamType::Int),
-    opt("pressure_weight", ParamType::Float),
-    opt("decay", ParamType::Float),
-    opt("heavy_blend", ParamType::Float),
-    opt("cooldown_ticks", ParamType::Int),
-    opt("enter", ParamType::Float),
     opt("exit", ParamType::Float),
     opt("arm", ParamType::Int),
-    opt("alpha", ParamType::Float),
+    opt("min_samples", ParamType::Int),
+    opt("pressure_weight", ParamType::Float),
+    opt("heavy_blend", ParamType::Float),
+    opt("decay", ParamType::Float),
+    opt("cooldown_ticks", ParamType::Int),
 ];
 
-/// Validates a control section: known core name, known + typed knobs.
+/// Validates a control section: known + typed knobs.
 ///
 /// # Errors
 ///
-/// Fails with [`Error::CfViolation`] on unknown knobs,
-/// [`Error::StaleReference`] on an unknown core name.
+/// Fails with [`Error::CfViolation`] on unknown or mistyped knobs.
 pub fn check_control(ctl: &ControlDesc) -> Result<()> {
     for (key, value) in &ctl.params {
         let Some(spec) = CONTROL_PARAMS.iter().find(|s| s.name == key) else {
@@ -403,38 +401,36 @@ pub fn check_control(ctl: &ControlDesc) -> Result<()> {
             });
         }
     }
-    // Resolve the name once to fail fast on typos.
-    compile_control(ctl).map(|_| ())
+    Ok(())
 }
 
-/// Builds the [`RebalanceController`] a control section selects: the
-/// policy knobs feed a [`WeightedRebalancePolicy`], the `core` name
-/// resolves through [`core_by_name`], and `heavy_blend` /
-/// `cooldown_ticks` configure the controller around it.
+/// Builds the [`RebalanceController`] a control section configures.
+/// Unset knobs fall back to [`RebalancePolicy::default`], except
+/// `exit`, which follows the section's `max_imbalance` (so a section
+/// that sets neither `exit` nor `arm` judges without a band), and
+/// `cooldown_ticks`, which defaults to 0.
 ///
 /// # Errors
 ///
-/// Fails with [`Error::StaleReference`] on an unknown core name.
+/// Fails like [`check_control`] on unknown or mistyped knobs.
 pub fn compile_control(ctl: &ControlDesc) -> Result<RebalanceController> {
+    check_control(ctl)?;
     let p = &ctl.params;
-    let max_imbalance = get_f64(p, "max_imbalance", 1.25);
-    let policy = WeightedRebalancePolicy {
-        base: RebalancePolicy {
-            max_imbalance,
-            min_samples: get_u64(p, "min_samples", 64),
-        },
-        pressure_weight: get_f64(p, "pressure_weight", 0.5),
-        decay: get_f64(p, "decay", 0.5),
+    let d = RebalancePolicy::default();
+    let max_imbalance = get_f64(p, "max_imbalance", d.max_imbalance);
+    let policy = RebalancePolicy {
+        max_imbalance,
+        exit: get_f64(p, "exit", max_imbalance),
+        arm_ticks: get_u64(p, "arm", d.arm_ticks.into()) as u32,
+        min_samples: get_u64(p, "min_samples", d.min_samples),
+        pressure_weight: get_f64(p, "pressure_weight", d.pressure_weight),
+        heavy_blend: get_f64(p, "heavy_blend", d.heavy_blend),
+        decay: get_f64(p, "decay", d.decay),
     };
-    let enter = get_f64(p, "enter", max_imbalance);
-    let exit = get_f64(p, "exit", (enter - 0.1).max(1.0));
-    let arm = get_u64(p, "arm", 2) as u32;
-    let alpha = get_f64(p, "alpha", 0.3);
-    let core = core_by_name(&ctl.core, policy, enter, exit, arm, alpha)?;
-    Ok(
-        RebalanceController::with_core(core, get_u64(p, "cooldown_ticks", 0))
-            .with_heavy_hitters(get_f64(p, "heavy_blend", 0.0)),
-    )
+    Ok(RebalanceController::new(
+        policy,
+        get_u64(p, "cooldown_ticks", 0),
+    ))
 }
 
 #[cfg(test)]
@@ -473,19 +469,25 @@ mod tests {
     }
 
     #[test]
-    fn control_compiles_each_core_by_name() {
-        for core in ["weighted", "hysteresis", "ewma"] {
-            let ctl = ControlDesc {
-                core: core.into(),
-                params: Params::new(),
-            };
-            let built = compile_control(&ctl).unwrap();
-            assert_eq!(built.core_name(), core);
-        }
-        let bad = ControlDesc {
-            core: "banana".into(),
+    fn control_compiles_onto_the_policy_defaults() {
+        let empty = ControlDesc {
             params: Params::new(),
         };
-        assert!(compile_control(&bad).is_err());
+        let built = compile_control(&empty).unwrap();
+        assert_eq!(*built.policy(), RebalancePolicy::default());
+
+        let mut params = Params::new();
+        params.insert("max_imbalance".into(), ParamValue::Float(1.5));
+        params.insert("arm".into(), ParamValue::Int(3));
+        let banded = compile_control(&ControlDesc { params }).unwrap();
+        let policy = *banded.policy();
+        assert_eq!(policy.max_imbalance, 1.5);
+        assert_eq!(policy.exit, 1.5, "exit follows max_imbalance");
+        assert_eq!(policy.arm_ticks, 3);
+        assert_eq!(policy.min_samples, RebalancePolicy::default().min_samples);
+
+        let mut params = Params::new();
+        params.insert("alpha".into(), ParamValue::Float(0.3));
+        assert!(compile_control(&ControlDesc { params }).is_err());
     }
 }

@@ -4,7 +4,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use netkit_kernel::nic::Nic;
 use netkit_kernel::time::VirtualClock;
 use netkit_packet::batch::PacketBatch;
@@ -18,11 +17,14 @@ use crate::api::{
 
 use super::element_core;
 
-/// Pulls frames from a NIC's rx ring and pushes them downstream.
+/// Pulls frames from a NIC's rx rings and pushes them downstream.
 ///
 /// Exposes both styles: `pump()` actively pushes through the `out`
 /// receptacle (poll-mode driver), and the exported `IPacketPull` lets a
-/// downstream scheduler pull directly.
+/// downstream scheduler pull directly. Either way frames come off the
+/// zero-copy `Nic::rx_burst_batch` path, scanning the rx queues in
+/// index order, and each packet is stamped with its ingress port and
+/// the clock's time.
 pub struct FromDevice {
     core: ComponentCore,
     nic: Arc<Nic>,
@@ -45,22 +47,27 @@ impl FromDevice {
         })
     }
 
-    fn wrap(&self, frame: Bytes) -> Packet {
-        let mut pkt = Packet::from_slice(&frame);
-        pkt.meta.ingress = Some(self.nic.port().0);
-        pkt.meta.timestamp_ns = self.clock.now().as_nanos();
-        pkt
+    /// Takes up to `max` frames off the NIC's rx queues in index order,
+    /// stamped with ingress port and arrival time.
+    fn receive(&self, max: usize) -> PacketBatch {
+        let mut batch = PacketBatch::with_capacity(max.min(64));
+        for queue in 0..self.nic.queues() {
+            self.nic
+                .rx_burst_batch(queue, max - batch.len(), &mut batch);
+        }
+        let (port, now) = (self.nic.port().0, self.clock.now().as_nanos());
+        for pkt in batch.packets_mut() {
+            pkt.meta.ingress = Some(port);
+            pkt.meta.timestamp_ns = now;
+        }
+        batch
     }
 
     /// Polls up to `budget` frames off the NIC, pushing each through the
     /// `out` receptacle. Returns the number of frames moved.
     pub fn pump(&self, budget: usize) -> usize {
         let mut moved = 0;
-        for _ in 0..budget {
-            let Some(frame) = self.nic.poll_rx() else {
-                break;
-            };
-            let pkt = self.wrap(frame);
+        for pkt in self.receive(budget).drain_all() {
             let pushed = self.out.with_bound(|next| next.push(pkt));
             match pushed {
                 Some(Ok(())) => moved += 1,
@@ -77,17 +84,16 @@ impl FromDevice {
     }
 
     /// Batch poll-mode driver loop: drains up to `budget` frames from
-    /// the NIC in one ring-lock burst and pushes them downstream as one
-    /// batch — one receptacle traversal (and one interceptor pass, one
-    /// IPC call for isolated peers) per burst instead of per frame.
+    /// the NIC in one burst per rx queue and pushes them downstream as
+    /// one batch — one receptacle traversal (and one interceptor pass,
+    /// one IPC call for isolated peers) per burst instead of per frame.
     /// Returns the number of frames accepted downstream.
     pub fn pump_batch(&self, budget: usize) -> usize {
-        let frames = self.nic.rx_burst(budget);
-        if frames.is_empty() {
+        let batch = self.receive(budget);
+        if batch.is_empty() {
             return 0;
         }
-        let n = frames.len();
-        let batch: PacketBatch = frames.into_iter().map(|f| self.wrap(f)).collect();
+        let n = batch.len();
         let moved = match self.out.with_bound(|next| next.push_batch(batch)) {
             Some(result) => result.accepted(),
             None => 0,
@@ -109,16 +115,11 @@ impl FromDevice {
 
 impl IPacketPull for FromDevice {
     fn pull(&self) -> Option<Packet> {
-        self.nic.poll_rx().map(|frame| self.wrap(frame))
+        self.receive(1).pop()
     }
 
     fn pull_batch(&self, max: usize) -> PacketBatch {
-        // One rx-ring lock per burst.
-        self.nic
-            .rx_burst(max)
-            .into_iter()
-            .map(|f| self.wrap(f))
-            .collect()
+        self.receive(max)
     }
 }
 
@@ -247,7 +248,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         clock.advance(500);
         let fd = FromDevice::new(Arc::clone(&n), clock);
-        n.inject_rx(Bytes::from_static(b"\x00\x01"));
+        assert!(n.inject_rx_frame(b"\x00\x01"));
         let pkt = fd.pull().unwrap();
         assert_eq!(pkt.meta.ingress, Some(3));
         assert_eq!(pkt.meta.timestamp_ns, 500);
@@ -270,7 +271,7 @@ mod tests {
             .unwrap();
         let frame = PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", 1, 2).build();
         for _ in 0..5 {
-            n_in.inject_rx(Bytes::copy_from_slice(frame.data()));
+            assert!(n_in.inject_rx_frame(frame.data()));
         }
         assert_eq!(fd.pump(10), 5);
         assert_eq!(n_out.stats().tx_frames, 5);
@@ -282,9 +283,39 @@ mod tests {
         let n = nic();
         let clock = Arc::new(VirtualClock::new());
         let fd = FromDevice::new(Arc::clone(&n), clock);
-        n.inject_rx(Bytes::from_static(b"xx"));
+        assert!(n.inject_rx_frame(b"xx"));
         assert_eq!(fd.pump(10), 0);
         assert_eq!(fd.stats().1, 1);
+    }
+
+    #[test]
+    fn from_device_scans_every_rx_queue() {
+        use netkit_packet::flow::FlowKey;
+        let n = Arc::new(Nic::with_queues(PortId(5), 2, 16, 16, 1_000_000));
+        let fd = FromDevice::new(Arc::clone(&n), Arc::new(VirtualClock::new()));
+        let pkts: Vec<Packet> = (1_000..1_016)
+            .map(|port| PacketBuilder::udp_v4("10.0.0.1", "10.0.0.2", port, 80).build())
+            .collect();
+        let on = |q: usize| {
+            pkts.iter()
+                .filter(move |p| FlowKey::from_packet(p).unwrap().shard_for(2) == q)
+        };
+        assert!(on(0).count() > 0 && on(1).count() > 0, "both queues busy");
+        for p in &pkts {
+            assert!(n.inject_rx_frame(p.data()));
+        }
+        // Queue 0 drains before queue 1, each in arrival order; the
+        // budget caps the scan.
+        let mut got = fd.pull_batch(15).into_packets();
+        got.push(fd.pull().unwrap());
+        assert!(fd.pull().is_none());
+        assert!(got
+            .iter()
+            .zip(on(0).chain(on(1)))
+            .all(|(g, e)| g.data() == e.data()));
+        assert!(got
+            .iter()
+            .all(|p| p.meta.ingress == Some(5) && p.meta.rss_hash.is_some()));
     }
 
     #[test]

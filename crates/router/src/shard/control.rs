@@ -9,16 +9,19 @@
 //!
 //! * [`RebalanceController`] — the **deterministic decision core**: a
 //!   pure state machine over (observation window, shard pressure,
-//!   current table) that owns the control-loop *policy* concerns the
-//!   rebalance policy itself does not: evidence retention across
-//!   declined decisions (windows are peeked and decayed, never
-//!   drained — see `BucketLoad`), and a hard cap on migration rate
-//!   (`cooldown_ticks` between applied plans, so a pathological
-//!   workload cannot thrash the dataplane through quiesce epochs). It
-//!   has no threads and no clock — the deterministic simulator drives
-//!   the *same* controller through
-//!   [`SoloPipeline::control_turn`](super::SoloPipeline::control_turn) from
-//!   its event loop, which is what makes autonomous-rebalancing
+//!   heavy-hitter evidence, current table) that judges with one
+//!   [`RebalancePolicy`] and owns the control-loop concerns the
+//!   policy's placement does not: the gathering gate, the hysteresis
+//!   streak (`arm_ticks` consecutive windows over `max_imbalance`, reset
+//!   under `exit`), evidence retention across declined decisions
+//!   (windows are peeked and decayed, never drained — see
+//!   `BucketLoad`), and a hard cap on migration rate (`cooldown_ticks`
+//!   between applied plans, so a pathological workload cannot thrash
+//!   the dataplane through quiesce epochs). It has no threads and no
+//!   clock — the deterministic simulator drives the *same* controller
+//!   through
+//!   [`SoloPipeline::control_turn`](super::SoloPipeline::control_turn)
+//!   from its event loop, which is what makes autonomous-rebalancing
 //!   experiments reproducible.
 //! * [`ControlLoop`] — the **threaded supervisor**: a
 //!   `netkit_kernel::task::PeriodicTask` ticking
@@ -38,12 +41,11 @@
 //! ```
 //! use netkit_packet::steer::{BucketMap, RSS_BUCKETS};
 //! use netkit_router::shard::control::{ControlDecision, RebalanceController};
-//! use netkit_router::shard::{RebalancePolicy, WeightedRebalancePolicy};
+//! use netkit_router::shard::RebalancePolicy;
 //!
-//! let policy = WeightedRebalancePolicy {
-//!     base: RebalancePolicy { max_imbalance: 1.25, min_samples: 64 },
+//! let policy = RebalancePolicy {
 //!     pressure_weight: 0.0,
-//!     decay: 0.5,
+//!     ..RebalancePolicy::default() // max_imbalance 1.25, min_samples 64
 //! };
 //! let mut ctl = RebalanceController::new(policy, 0);
 //! let map = BucketMap::identity(2);
@@ -51,12 +53,12 @@
 //! // Not enough evidence yet: the window keeps accumulating.
 //! let mut window = vec![0u64; RSS_BUCKETS];
 //! window[0] = 10;
-//! assert!(matches!(ctl.decide(&window, &[], 1024, &map), ControlDecision::Gathering));
+//! assert!(matches!(ctl.decide(&window, &[], &[], 1024, &map), ControlDecision::Gathering));
 //!
 //! // A judged window with everything colocated on shard 0 migrates.
 //! window[0] = 90;
 //! window[2] = 60; // bucket 2 -> shard 0 under identity(2)
-//! match ctl.decide(&window, &[], 1024, &map) {
+//! match ctl.decide(&window, &[], &[], 1024, &map) {
 //!     ControlDecision::Migrate(plan) => {
 //!         assert_eq!(plan.moved, vec![2]);
 //!         assert_eq!(plan.map.shard_of_bucket(2), 1);
@@ -81,8 +83,7 @@ use parking_lot::Mutex;
 
 use netkit_packet::sketch::HeavyHitter;
 
-use super::decision::{DecisionCore, Evidence, WeightedCore};
-use super::rebalance::{RebalancePlan, WeightedRebalancePolicy};
+use super::rebalance::{RebalancePlan, RebalancePolicy};
 use super::{ShardLoad, ShardedPipeline};
 
 /// What one control turn concluded about the observation window.
@@ -91,10 +92,10 @@ pub enum ControlDecision {
     /// Below `min_samples`: no judgment was made. The caller must
     /// leave the window untouched so evidence keeps accumulating.
     Gathering,
-    /// The window was judged and declined (balanced, no improving
-    /// plan, or the migration-rate cap is in force). The caller should
-    /// age the window with the policy's `decay` — retained, not
-    /// discarded.
+    /// The window was judged and declined (balanced, not yet armed,
+    /// no improving plan, or the migration-rate cap is in force). The
+    /// caller should age the window with the policy's `decay` —
+    /// retained, not discarded.
     Hold,
     /// Apply this plan, then retire the judged window.
     Migrate(RebalancePlan),
@@ -102,106 +103,57 @@ pub enum ControlDecision {
 
 /// The deterministic decision core of the autonomous control loop. See
 /// the module docs for where it sits and a runnable example.
+#[derive(Clone, Debug)]
 pub struct RebalanceController {
-    core: Box<dyn DecisionCore>,
+    policy: RebalancePolicy,
     /// Minimum number of ticks between two applied migrations — the
     /// hard cap on migration rate (each migration costs a quiesce
     /// epoch; 0 = no cap).
     cooldown_ticks: u64,
-    heavy_blend: f64,
     ticks: u64,
     migrations: u64,
     holds: u64,
     last_migration_tick: Option<u64>,
-    noop_streak: u64,
+    /// Consecutive judged windows over `max_imbalance` (the band).
+    streak: u32,
 }
 
 impl RebalanceController {
-    /// A controller judging with the default [`WeightedCore`] over
-    /// `policy`, applying at most one migration per
-    /// `cooldown_ticks + 1` ticks.
-    pub fn new(policy: WeightedRebalancePolicy, cooldown_ticks: u64) -> Self {
-        Self::with_core(Box::new(WeightedCore::new(policy)), cooldown_ticks)
-    }
-
-    /// A controller judging with an arbitrary plug-in
-    /// [`DecisionCore`] — how descriptions select hysteresis/EWMA (or
-    /// external) judgments by name; see
-    /// [`core_by_name`](super::decision::core_by_name).
-    pub fn with_core(core: Box<dyn DecisionCore>, cooldown_ticks: u64) -> Self {
+    /// A controller judging with `policy`, applying at most one
+    /// migration per `cooldown_ticks + 1` ticks.
+    pub fn new(policy: RebalancePolicy, cooldown_ticks: u64) -> Self {
         Self {
-            core,
+            policy,
             cooldown_ticks,
-            heavy_blend: 0.0,
             ticks: 0,
             migrations: 0,
             holds: 0,
             last_migration_tick: None,
-            noop_streak: 0,
+            streak: 0,
         }
     }
 
-    /// Folds sketch-based heavy-hitter byte evidence into every
-    /// judgment that receives it (see
-    /// [`decide_with_evidence`](Self::decide_with_evidence) and
-    /// `HeavyHitterPolicy`). `blend` is clamped to
-    /// `[0, 1]`; `0.0` (the default) ignores the evidence entirely.
-    pub fn with_heavy_hitters(mut self, blend: f64) -> Self {
-        self.heavy_blend = blend.clamp(0.0, 1.0);
-        self
-    }
-
-    /// The registry name of the judging core (`"weighted"` unless a
-    /// plug-in was installed via [`with_core`](Self::with_core)).
-    pub fn core_name(&self) -> &'static str {
-        self.core.name()
-    }
-
-    /// The core's judged-window retention factor (the caller needs it
-    /// to apply [`ControlDecision::Hold`]).
-    pub fn decay(&self) -> f64 {
-        self.core.decay()
-    }
-
-    /// The core's gathering gate: minimum raw packets in a window
-    /// before any judgment is made.
-    pub fn min_samples(&self) -> u64 {
-        self.core.min_samples()
-    }
-
-    /// The heavy-hitter byte-evidence blend factor in `[0, 1]`.
-    pub fn heavy_blend(&self) -> f64 {
-        self.heavy_blend
+    /// The judging policy (the caller needs its `decay` to apply
+    /// [`ControlDecision::Hold`], and its `heavy_blend` to know whether
+    /// byte evidence is worth gathering).
+    pub fn policy(&self) -> &RebalancePolicy {
+        &self.policy
     }
 
     /// One inspect → decide turn. `window` is a **peeked** (not
     /// drained) per-bucket snapshot; `loads` the per-shard pressure
     /// meters (empty ⇒ no pressure weighting, as the deterministic sim
-    /// passes); `current` the live table. The caller owns the adapt
-    /// arm: apply the returned decision to its steering surface (see
-    /// [`ControlDecision`] for the window obligation each variant
+    /// passes); `heavy` the merged per-flow byte evidence of the
+    /// dataplane's flow sketches (see
+    /// `netkit_packet::sketch::SpaceSaving::merge`; ignored unless the
+    /// policy's `heavy_blend > 0`); `current` the live table. The
+    /// gathering gate and cooldown cap judge raw packets; the band and
+    /// the plan judge [`RebalancePolicy::window`]. The caller owns the
+    /// adapt arm: apply the returned decision to its steering surface
+    /// (see [`ControlDecision`] for the window obligation each variant
     /// carries — `ShardedPipeline::control_turn` is the reference
     /// implementation).
     pub fn decide(
-        &mut self,
-        window: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        current: &BucketMap,
-    ) -> ControlDecision {
-        self.decide_with_evidence(window, loads, &[], ring_capacity, current)
-    }
-
-    /// [`decide`](Self::decide), additionally weighing `heavy` —
-    /// merged per-flow byte evidence from the dataplane's flow
-    /// sketches (see `netkit_packet::sketch::SpaceSaving::merge`).
-    /// With a zero [`heavy_blend`](Self::heavy_blend) or no evidence
-    /// this is exactly `decide`; otherwise the judged window is the
-    /// mass-normalised packet/byte blend of
-    /// `HeavyHitterPolicy`, which catches **byte**
-    /// elephants that uniform packet counts provably hide. The
-    /// gathering gate and cooldown cap always judge raw packets.
-    pub fn decide_with_evidence(
         &mut self,
         window: &[u64],
         loads: &[ShardLoad],
@@ -211,8 +163,7 @@ impl RebalanceController {
     ) -> ControlDecision {
         self.ticks += 1;
         let raw_total: u64 = window.iter().sum();
-        if raw_total < self.core.min_samples().max(1) {
-            self.noop_streak += 1;
+        if raw_total < self.policy.min_samples.max(1) {
             return ControlDecision::Gathering;
         }
         if let Some(last) = self.last_migration_tick {
@@ -221,28 +172,32 @@ impl RebalanceController {
                 // window still decays — the cap exists to *shed*
                 // pressure to re-migrate, not to queue it up.
                 self.holds += 1;
-                self.noop_streak += 1;
                 return ControlDecision::Hold;
             }
         }
-        let plan = self.core.plan(&Evidence {
-            window,
-            loads,
-            heavy,
-            heavy_blend: self.heavy_blend,
-            ring_capacity,
-            current,
-        });
+        let judged = self
+            .policy
+            .window(window, loads, heavy, ring_capacity, current);
+        let imbalance = RebalancePolicy::imbalance(&judged, current);
+        if imbalance > self.policy.max_imbalance {
+            self.streak = self.streak.saturating_add(1);
+        } else if imbalance < self.policy.exit {
+            self.streak = 0;
+        }
+        let plan = if self.streak >= self.policy.arm_ticks {
+            self.policy.plan(&judged, current)
+        } else {
+            None
+        };
         match plan {
             Some(plan) => {
+                self.streak = 0;
                 self.migrations += 1;
                 self.last_migration_tick = Some(self.ticks);
-                self.noop_streak = 0;
                 ControlDecision::Migrate(plan)
             }
             None => {
                 self.holds += 1;
-                self.noop_streak += 1;
                 ControlDecision::Hold
             }
         }
@@ -259,42 +214,25 @@ impl RebalanceController {
         self.migrations
     }
 
-    /// Judged-but-declined turns (balanced windows, no-improvement
-    /// plans, and rate-capped turns).
+    /// Judged-but-declined turns (balanced windows, unarmed bands,
+    /// no-improvement plans, and rate-capped turns).
     pub fn holds(&self) -> u64 {
         self.holds
     }
 
-    /// Consecutive turns since the last migration decision. Pure
-    /// introspection: the threaded [`ControlLoop`] derives its backoff
-    /// from per-tick outcomes (`PeriodicTask`), not from this counter;
-    /// an embedder driving the controller on its own cadence (the sim,
-    /// a custom executor task) can read it to implement the same
-    /// go-quiet-while-idle behaviour.
-    pub fn noop_streak(&self) -> u64 {
-        self.noop_streak
-    }
-}
-
-impl fmt::Debug for RebalanceController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "RebalanceController({} core, {} ticks, {} migrations, {} holds)",
-            self.core.name(),
-            self.ticks,
-            self.migrations,
-            self.holds
-        )
+    /// Consecutive judged windows over `max_imbalance` since the last
+    /// plan or the last window under `exit`.
+    pub fn streak(&self) -> u32 {
+        self.streak
     }
 }
 
 /// Configuration of the threaded [`ControlLoop`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControlConfig {
-    /// The weighted decision policy (thresholds, pressure weighting,
-    /// window decay).
-    pub policy: WeightedRebalancePolicy,
+    /// The decision policy (thresholds, band, pressure weighting,
+    /// byte-evidence blend, window decay).
+    pub policy: RebalancePolicy,
     /// Base tick interval while the loop is making progress.
     pub tick: Duration,
     /// Cap the backed-off interval saturates at after no-op turns.
@@ -305,22 +243,16 @@ pub struct ControlConfig {
     /// Hard cap on migration rate: minimum ticks between two applied
     /// migrations.
     pub cooldown_ticks: u64,
-    /// Heavy-hitter byte-evidence blend in `[0, 1]` (see
-    /// [`RebalanceController::with_heavy_hitters`]). `0.0` — the
-    /// default — judges on packet counts alone; `> 0.0` folds the
-    /// pipeline's merged flow-sketch top-k into every judgment.
-    pub heavy_blend: f64,
 }
 
 impl Default for ControlConfig {
     fn default() -> Self {
         Self {
-            policy: WeightedRebalancePolicy::default(),
+            policy: RebalancePolicy::default(),
             tick: Duration::from_millis(10),
             max_tick: Duration::from_millis(200),
             backoff: 2.0,
             cooldown_ticks: 4,
-            heavy_blend: 0.0,
         }
     }
 }
@@ -376,10 +308,10 @@ impl ControlLoop {
         rm: Arc<ResourceManager>,
     ) -> Result<Self> {
         let rm_task = rm.create_task(name)?;
-        let controller = Arc::new(Mutex::new(
-            RebalanceController::new(cfg.policy, cfg.cooldown_ticks)
-                .with_heavy_hitters(cfg.heavy_blend),
-        ));
+        let controller = Arc::new(Mutex::new(RebalanceController::new(
+            cfg.policy,
+            cfg.cooldown_ticks,
+        )));
         let tick_ctl = Arc::clone(&controller);
         let tick_rm = Arc::clone(&rm);
         let recoveries = Arc::new(AtomicU64::new(0));
@@ -485,7 +417,6 @@ impl fmt::Debug for ControlLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::rebalance::RebalancePolicy;
     use netkit_packet::steer::RSS_BUCKETS;
 
     fn window(entries: &[(usize, u64)]) -> Vec<u64> {
@@ -496,14 +427,10 @@ mod tests {
         w
     }
 
-    fn eager_policy() -> WeightedRebalancePolicy {
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 64,
-            },
+    fn eager_policy() -> RebalancePolicy {
+        RebalancePolicy {
             pressure_weight: 0.0,
-            decay: 0.5,
+            ..RebalancePolicy::default() // max_imbalance 1.25, min_samples 64
         }
     }
 
@@ -514,13 +441,12 @@ mod tests {
         let small = window(&[(0, 10), (2, 10)]);
         for _ in 0..3 {
             assert!(matches!(
-                ctl.decide(&small, &[], 1024, &map),
+                ctl.decide(&small, &[], &[], 1024, &map),
                 ControlDecision::Gathering
             ));
         }
         assert_eq!(ctl.ticks(), 3);
         assert_eq!(ctl.holds(), 0, "gathering is not a judgment");
-        assert_eq!(ctl.noop_streak(), 3);
     }
 
     #[test]
@@ -529,19 +455,52 @@ mod tests {
         let map = BucketMap::identity(2);
         let balanced = window(&[(0, 50), (1, 50)]);
         assert!(matches!(
-            ctl.decide(&balanced, &[], 1024, &map),
+            ctl.decide(&balanced, &[], &[], 1024, &map),
             ControlDecision::Hold
         ));
         assert_eq!(ctl.holds(), 1);
         let skewed = window(&[(0, 90), (2, 60), (1, 30)]);
-        match ctl.decide(&skewed, &[], 1024, &map) {
+        match ctl.decide(&skewed, &[], &[], 1024, &map) {
             ControlDecision::Migrate(plan) => {
                 assert!(plan.imbalance_after < plan.imbalance_before)
             }
             other => panic!("skew must migrate, got {other:?}"),
         }
         assert_eq!(ctl.migrations(), 1);
-        assert_eq!(ctl.noop_streak(), 0, "a migration resets the streak");
+        assert_eq!(ctl.streak(), 0, "a migration resets the streak");
+    }
+
+    #[test]
+    fn hysteresis_demands_persistent_skew() {
+        let map = BucketMap::identity(2);
+        let skew = window(&[(0, 90), (2, 60), (1, 30)]);
+        let balanced = window(&[(0, 50), (1, 50)]);
+        let banded = RebalancePolicy {
+            exit: 1.1,
+            arm_ticks: 3,
+            ..eager_policy()
+        };
+        let mut ctl = RebalanceController::new(banded, 0);
+        let decide =
+            |ctl: &mut RebalanceController, w: &[u64]| match ctl.decide(w, &[], &[], 1024, &map) {
+                ControlDecision::Migrate(plan) => Some(plan),
+                ControlDecision::Hold => None,
+                ControlDecision::Gathering => panic!("windows are above min_samples"),
+            };
+
+        // Two over-threshold windows: still armed-but-waiting.
+        assert!(decide(&mut ctl, &skew).is_none());
+        assert!(decide(&mut ctl, &skew).is_none());
+        assert_eq!(ctl.streak(), 2);
+        // A balanced window disarms the streak entirely...
+        assert!(decide(&mut ctl, &balanced).is_none());
+        assert_eq!(ctl.streak(), 0);
+        // ...so the skew must persist for three fresh windows.
+        assert!(decide(&mut ctl, &skew).is_none());
+        assert!(decide(&mut ctl, &skew).is_none());
+        let plan = decide(&mut ctl, &skew).expect("armed after 3");
+        assert!(plan.imbalance_after < plan.imbalance_before);
+        assert_eq!(ctl.streak(), 0, "an applied plan resets the streak");
     }
 
     #[test]
@@ -550,16 +509,7 @@ mod tests {
         // is a permanent Hold. The same controller with a heavy-hitter
         // blend sees the bytes and migrates.
         let map = BucketMap::identity(2);
-        let uniform = window(&[
-            (0, 8),
-            (1, 8),
-            (2, 8),
-            (3, 8),
-            (4, 8),
-            (5, 8),
-            (6, 8),
-            (7, 8),
-        ]);
+        let uniform = window(&(0..8).map(|b| (b, 8)).collect::<Vec<_>>());
         let evidence: Vec<HeavyHitter> = (0..8)
             .map(|b| HeavyHitter {
                 hash: b as u64,
@@ -569,12 +519,16 @@ mod tests {
             .collect();
         let mut packets_only = RebalanceController::new(eager_policy(), 0);
         assert!(matches!(
-            packets_only.decide_with_evidence(&uniform, &[], &evidence, 1024, &map),
+            packets_only.decide(&uniform, &[], &evidence, 1024, &map),
             ControlDecision::Hold
         ));
-        let mut blended = RebalanceController::new(eager_policy(), 0).with_heavy_hitters(1.0);
-        assert_eq!(blended.heavy_blend(), 1.0);
-        match blended.decide_with_evidence(&uniform, &[], &evidence, 1024, &map) {
+        let blend = RebalancePolicy {
+            heavy_blend: 1.0,
+            ..eager_policy()
+        };
+        let mut blended = RebalanceController::new(blend, 0);
+        assert_eq!(blended.policy().heavy_blend, 1.0);
+        match blended.decide(&uniform, &[], &evidence, 1024, &map) {
             ControlDecision::Migrate(plan) => {
                 assert!(plan.imbalance_after < plan.imbalance_before)
             }
@@ -583,7 +537,7 @@ mod tests {
         // And with no evidence at hand the blended controller judges
         // exactly like the packet-only one.
         assert!(matches!(
-            blended.decide(&uniform, &[], 1024, &map),
+            blended.decide(&uniform, &[], &[], 1024, &map),
             ControlDecision::Hold
         ));
     }
@@ -594,19 +548,19 @@ mod tests {
         let map = BucketMap::identity(2);
         let skewed = window(&[(0, 90), (2, 60), (1, 30)]);
         assert!(matches!(
-            ctl.decide(&skewed, &[], 1024, &map),
+            ctl.decide(&skewed, &[], &[], 1024, &map),
             ControlDecision::Migrate(_)
         ));
         // The same skew re-presented is rate-capped for 2 ticks...
         for _ in 0..2 {
             assert!(matches!(
-                ctl.decide(&skewed, &[], 1024, &map),
+                ctl.decide(&skewed, &[], &[], 1024, &map),
                 ControlDecision::Hold
             ));
         }
         // ...and judged again afterwards.
         assert!(matches!(
-            ctl.decide(&skewed, &[], 1024, &map),
+            ctl.decide(&skewed, &[], &[], 1024, &map),
             ControlDecision::Migrate(_)
         ));
         assert_eq!(ctl.migrations(), 2);

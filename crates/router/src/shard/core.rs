@@ -384,7 +384,7 @@ impl ShardCore {
         let current = self.bucket_map();
         // Sketch snapshots only when the evidence can matter, keeping
         // the zero-blend turn as cheap as one without sketches.
-        let with_evidence = ctl.heavy_blend() > 0.0;
+        let with_evidence = ctl.policy().heavy_blend > 0.0;
         let sketch_windows: Vec<_> = if with_evidence {
             self.sketches.iter().map(|s| s.snapshot()).collect()
         } else {
@@ -396,12 +396,13 @@ impl ShardCore {
         } else {
             Vec::new()
         };
-        match ctl.decide_with_evidence(&window, loads, &heavy, self.spec.ring_capacity, &current) {
+        match ctl.decide(&window, loads, &heavy, self.spec.ring_capacity, &current) {
             ControlDecision::Gathering => None,
             ControlDecision::Hold => {
-                self.bucket_load.decay(ctl.decay());
+                let decay = ctl.policy().decay;
+                self.bucket_load.decay(decay);
                 for sketch in &self.sketches {
-                    sketch.decay(ctl.decay());
+                    sketch.decay(decay);
                 }
                 None
             }

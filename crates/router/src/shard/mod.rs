@@ -98,7 +98,6 @@ use crate::api::IPacketPush;
 pub mod control;
 #[macro_use]
 mod core;
-pub mod decision;
 pub mod rebalance;
 pub mod solo;
 
@@ -106,10 +105,7 @@ pub(crate) use self::core::ShardCore;
 use self::core::{Drain, DropCause};
 
 pub use control::{ControlConfig, ControlDecision, ControlLoop, ControlStats, RebalanceController};
-pub use decision::{core_by_name, DecisionCore, Evidence, EwmaCore, HysteresisCore, WeightedCore};
-pub use rebalance::{
-    HeavyHitterPolicy, MigrationReport, RebalancePlan, RebalancePolicy, WeightedRebalancePolicy,
-};
+pub use rebalance::{MigrationReport, RebalancePlan, RebalancePolicy};
 pub use solo::SoloPipeline;
 
 /// A swappable shard entry point: the shard re-reads it each batch, so
@@ -618,7 +614,7 @@ impl ShardedPipeline {
                             // ring were full.
                             match self
                                 .pool
-                                .try_submit_tagged(shard, ShardJob::Range(shared.range(shard)))
+                                .try_submit(shard, ShardJob::Range(shared.range(shard)))
                             {
                                 Ok(()) => report.resubmitted += n,
                                 Err((_, rejection)) => {
@@ -649,7 +645,7 @@ impl ShardedPipeline {
             // reset outside the epoch races concurrent submissions and
             // can erase occupancy evidence that belongs to the new
             // window (see `WorkerPool::take_ring_high_water`).
-            self.pool.reset_ring_high_water();
+            let _ = self.pool.take_ring_high_water();
         });
         report.epoch = self.pool.epoch();
         report
@@ -1132,18 +1128,17 @@ mod tests {
     /// policy: no pressure weighting, and `decay: 1.0` (the identity)
     /// retains a held window whole.
     fn controller(min_samples: u64, pressure_weight: f64, decay: f64) -> RebalanceController {
-        let base = RebalancePolicy {
-            max_imbalance: 1.25,
+        RebalanceController::new(policy(min_samples, pressure_weight, decay), 0)
+    }
+
+    /// The policy [`controller`] judges with.
+    fn policy(min_samples: u64, pressure_weight: f64, decay: f64) -> RebalancePolicy {
+        RebalancePolicy {
             min_samples,
-        };
-        RebalanceController::new(
-            WeightedRebalancePolicy {
-                base,
-                pressure_weight,
-                decay,
-            },
-            0,
-        )
+            pressure_weight,
+            decay,
+            ..RebalancePolicy::default() // max_imbalance 1.25
+        }
     }
 
     #[test]
@@ -1340,7 +1335,11 @@ mod tests {
     #[test]
     fn sketch_evidence_migrates_byte_elephants_the_packet_window_hides() {
         let r = rig("elephants", 2);
-        let mut ctl = controller(32, 0.0, 0.5).with_heavy_hitters(1.0);
+        let blended = RebalancePolicy {
+            heavy_blend: 1.0,
+            ..policy(32, 0.0, 0.5)
+        };
+        let mut ctl = RebalanceController::new(blended, 0);
         // Uniform packet counts: 8 packets in each of buckets 0..8
         // (identity(2): evens -> shard 0, odds -> shard 1). But every
         // even-bucket flow is an elephant (1200-byte payloads) while
@@ -1705,18 +1704,12 @@ mod tests {
 
     /// A controller that never migrates and forgets a held window.
     fn forgetful(blend: f64) -> RebalanceController {
-        RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: f64::INFINITY,
-                    min_samples: 1,
-                },
-                pressure_weight: 0.0,
-                decay: 0.0,
-            },
-            0,
-        )
-        .with_heavy_hitters(blend)
+        let never = RebalancePolicy {
+            max_imbalance: f64::INFINITY,
+            heavy_blend: blend,
+            ..policy(1, 0.0, 0.0)
+        };
+        RebalanceController::new(never, 0)
     }
 
     #[test]

@@ -29,35 +29,77 @@
 //!
 //! ## The decision rule
 //!
-//! [`RebalancePolicy::plan`] fires only when (a) the observation
-//! window holds at least `min_samples` packets (idle dataplanes are
-//! not reshuffled by noise) and (b) the most-loaded shard exceeds the
-//! ideal `total / shards` share by more than `max_imbalance`
-//! (hysteresis: balanced-enough placements are left alone, because
-//! every migration costs one quiesce epoch of pipeline pause).
+//! One [`RebalancePolicy`] holds every knob of the *decide* arm; the
+//! [`RebalanceController`](super::RebalanceController) applies it one
+//! observation window at a time:
+//!
+//! 1. **Gathering gate** — fewer than `min_samples` raw packets in the
+//!    window: no judgment (idle dataplanes are not reshuffled by noise).
+//! 2. **Judged window** ([`RebalancePolicy::window`]) — each bucket's
+//!    count inflated by its shard's ring pressure, then blended with
+//!    heavy-hitter byte evidence when `heavy_blend > 0`.
+//! 3. **Band** — the judged imbalance must exceed `max_imbalance` for
+//!    `arm_ticks` consecutive windows; a window under `exit` restarts
+//!    the count (hysteresis: balanced-enough placements are left
+//!    alone, because every migration costs one quiesce epoch of
+//!    pipeline pause, and a transient spike never pays one).
+//! 4. **Plan** ([`RebalancePolicy::plan`]) — a greedy LPT placement of
+//!    the judged window, kept only if it lowers the makespan.
 
 use netkit_packet::sketch::HeavyHitter;
 use netkit_packet::steer::{bucket_of, BucketMap, RSS_BUCKETS};
 
 use super::ShardLoad;
 
-/// When and how aggressively to rewrite the bucket table.
+/// When and how aggressively to rewrite the bucket table: the whole
+/// *decide* arm of the control loop as one plain value. See the module
+/// docs for how the knobs combine.
+///
+/// The defaults (`arm_ticks = 1`, `exit = max_imbalance`) plan on the
+/// first window over the threshold; a band (`exit < max_imbalance`,
+/// `arm_ticks > 1`) demands persistent skew before paying a migration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RebalancePolicy {
-    /// Trigger threshold on `max_shard_load / ideal_shard_load`. `1.0`
-    /// is perfect balance; the default `1.25` tolerates 25% skew
-    /// before paying a migration epoch.
+    /// Enter threshold on `max_shard_load / ideal_shard_load` over the
+    /// judged window. `1.0` is perfect balance; the default `1.25`
+    /// tolerates 25% skew before paying a migration epoch.
     pub max_imbalance: f64,
-    /// Minimum packets in the observation window before any plan is
-    /// made — protects against reshuffling on statistical noise.
+    /// Band floor: a judged window whose imbalance falls below it
+    /// restarts the `arm_ticks` count; windows inside
+    /// `[exit, max_imbalance]` keep the count but do not extend it.
+    /// Must be ≤ `max_imbalance` (a larger value acts as
+    /// `max_imbalance`).
+    pub exit: f64,
+    /// Consecutive over-threshold windows required before a plan
+    /// (`1` plans on the first).
+    pub arm_ticks: u32,
+    /// Minimum raw packets in the observation window before any
+    /// judgment is made — protects against reshuffling on statistical
+    /// noise. Pressure and byte evidence never count towards it.
     pub min_samples: u64,
+    /// How strongly ring pressure inflates a shard's buckets: a shard
+    /// riding its full ring weighs `1 + pressure_weight` per packet.
+    /// `0.0` judges raw packet counts.
+    pub pressure_weight: f64,
+    /// Heavy-hitter byte-evidence blend in `[0, 1]` (clamped): `0.0`
+    /// judges packets alone, `1.0` purely the sketches' byte weights.
+    pub heavy_blend: f64,
+    /// Fraction of a judged-but-declined window retained per decision
+    /// (`1.0` = never fades). Applied by the control turn via
+    /// `BucketLoad::decay`, not by the policy itself.
+    pub decay: f64,
 }
 
 impl Default for RebalancePolicy {
     fn default() -> Self {
         Self {
             max_imbalance: 1.25,
+            exit: 1.25,
+            arm_ticks: 1,
             min_samples: 64,
+            pressure_weight: 1.0,
+            heavy_blend: 0.0,
+            decay: 0.5,
         }
     }
 }
@@ -70,7 +112,8 @@ pub struct RebalancePlan {
     pub map: BucketMap,
     /// Buckets whose assignment changes, in bucket order.
     pub moved: Vec<usize>,
-    /// `max_shard_load / ideal` under the current map.
+    /// `max_shard_load / ideal` of the judged window under the current
+    /// map.
     pub imbalance_before: f64,
     /// `max_shard_load / ideal` predicted under [`Self::map`] (same
     /// window).
@@ -91,10 +134,87 @@ impl RebalancePolicy {
         per_shard.iter().copied().max().unwrap_or(0) as f64 / ideal
     }
 
-    /// Plans a migration from one observation window of per-bucket
-    /// loads, or `None` when rebalancing is not warranted (single
-    /// shard, window below `min_samples`, imbalance within
-    /// `max_imbalance`, or no bucket would actually move).
+    /// The judged window: a raw per-bucket packet window with queueing
+    /// pressure and byte evidence folded in.
+    ///
+    /// Packet counts alone say which buckets are busy, not which shard
+    /// is *drowning*: a shard whose ring high-water mark rides its
+    /// capacity retires work slower than it arrives, so each of its
+    /// packets weighs more. And a bucket holding one byte elephant
+    /// looks like a bucket of mice whenever packet counts are uniform.
+    /// So, with `hwm = max(ring_high_water, in_flight)` (a freshly
+    /// reset mark still sees live occupancy):
+    ///
+    /// ```text
+    /// effective[b] = count[b] × (1 + pressure_weight × min(hwm[shard(b)] / ring_capacity, 1))
+    /// hh[b]        = Σ weight of heavy hitters whose hash buckets to b
+    /// judged[b]    = (1 − blend) × effective[b] + blend × hh[b] × (Σ effective / Σ hh)
+    /// ```
+    ///
+    /// The byte evidence is normalised to the packet window's mass, so
+    /// `heavy_blend` interpolates between two unit-free load shapes.
+    /// `loads` entries are matched to shards by their `shard` field;
+    /// missing shards (or an empty slice, as the deterministic sim
+    /// passes) contribute no pressure. With `heavy_blend == 0`, no
+    /// heavy hitters, or an empty window the result is `effective`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
+    pub fn window(
+        &self,
+        per_bucket: &[u64],
+        loads: &[ShardLoad],
+        heavy: &[HeavyHitter],
+        ring_capacity: usize,
+        current: &BucketMap,
+    ) -> Vec<u64> {
+        assert_eq!(per_bucket.len(), RSS_BUCKETS, "one load per bucket");
+        let cap = ring_capacity.max(1) as f64;
+        let mut factor = vec![1.0f64; current.shards()];
+        if self.pressure_weight > 0.0 {
+            for load in loads {
+                if let Some(f) = factor.get_mut(load.shard) {
+                    let occupancy = load.ring_high_water.max(load.in_flight) as f64;
+                    *f = 1.0 + self.pressure_weight * (occupancy / cap).min(1.0);
+                }
+            }
+        }
+        let effective: Vec<u64> = per_bucket
+            .iter()
+            .enumerate()
+            .map(|(bucket, &count)| {
+                (count as f64 * factor[current.shard_of_bucket(bucket)]).round() as u64
+            })
+            .collect();
+        let blend = self.heavy_blend.clamp(0.0, 1.0);
+        if blend == 0.0 || heavy.is_empty() {
+            return effective;
+        }
+        let mut hh = vec![0u64; RSS_BUCKETS];
+        for h in heavy {
+            hh[bucket_of(h.hash)] += h.weight;
+        }
+        let hh_total: u64 = hh.iter().sum();
+        let eff_total: u64 = effective.iter().sum();
+        if hh_total == 0 || eff_total == 0 {
+            return effective;
+        }
+        let scale = eff_total as f64 / hh_total as f64;
+        effective
+            .iter()
+            .zip(&hh)
+            .map(|(&eff, &bytes)| {
+                ((1.0 - blend) * eff as f64 + blend * bytes as f64 * scale).round() as u64
+            })
+            .collect()
+    }
+
+    /// Plans a migration from one judged window, or `None` when
+    /// rebalancing is not warranted (single shard, empty window,
+    /// imbalance within `max_imbalance`, or no plan that lowers the
+    /// makespan). The gathering gate and the band are the
+    /// controller's; this is the placement alone.
     ///
     /// The plan is a deterministic greedy longest-processing-time
     /// assignment: loaded buckets are placed heaviest-first onto the
@@ -104,20 +224,19 @@ impl RebalancePolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `per_bucket` does not hold
-    /// [`RSS_BUCKETS`] entries (the
+    /// Panics if `window` does not hold [`RSS_BUCKETS`] entries (the
     /// meters and maps are all fixed-width).
-    pub fn plan(&self, per_bucket: &[u64], current: &BucketMap) -> Option<RebalancePlan> {
-        assert_eq!(per_bucket.len(), RSS_BUCKETS, "one load per bucket");
+    pub fn plan(&self, window: &[u64], current: &BucketMap) -> Option<RebalancePlan> {
+        assert_eq!(window.len(), RSS_BUCKETS, "one load per bucket");
         let shards = current.shards();
         if shards <= 1 {
             return None;
         }
-        let total: u64 = per_bucket.iter().sum();
-        if total < self.min_samples.max(1) {
+        let total: u64 = window.iter().sum();
+        if total == 0 {
             return None;
         }
-        let imbalance_before = Self::imbalance(per_bucket, current);
+        let imbalance_before = Self::imbalance(window, current);
         if imbalance_before <= self.max_imbalance {
             return None;
         }
@@ -125,8 +244,8 @@ impl RebalancePolicy {
         // Greedy LPT over the loaded buckets, heaviest first; ties in
         // load break towards the lower bucket index so plans are
         // reproducible run to run.
-        let mut order: Vec<usize> = (0..RSS_BUCKETS).filter(|&b| per_bucket[b] > 0).collect();
-        order.sort_by(|&a, &b| per_bucket[b].cmp(&per_bucket[a]).then(a.cmp(&b)));
+        let mut order: Vec<usize> = (0..RSS_BUCKETS).filter(|&b| window[b] > 0).collect();
+        order.sort_by(|&a, &b| window[b].cmp(&window[a]).then(a.cmp(&b)));
 
         let mut map = current.clone();
         let mut load = vec![0u64; shards];
@@ -144,7 +263,7 @@ impl RebalancePolicy {
                 best = home;
             }
             map.set(bucket, best);
-            load[best] += per_bucket[bucket];
+            load[best] += window[bucket];
         }
 
         let moved = map.moved_buckets(current);
@@ -168,242 +287,8 @@ impl RebalancePolicy {
     }
 }
 
-/// A [`RebalancePolicy`] that weighs *queueing pressure* into the
-/// evidence, not just packet counts.
-///
-/// Packet counts alone are a throughput meter: they say which buckets
-/// are busy, not which shard is *drowning*. A shard whose ring
-/// high-water mark rides its capacity is receiving work faster than it
-/// retires it — its buckets hurt more per packet than the same count
-/// on an idle shard. This policy folds that in: each bucket's count is
-/// inflated by its current shard's pressure,
-///
-/// ```text
-/// effective[b] = count[b] × (1 + pressure_weight × hwm[shard(b)] / ring_capacity)
-/// ```
-///
-/// (pressure clamped to `[0, 1]`; `max(ring_high_water, in_flight)`
-/// is used so a freshly reset mark still sees live occupancy), and the
-/// base policy's threshold + LPT plan run over the effective loads. A
-/// persistent packet skew sitting *just under* the imbalance threshold
-/// therefore still converges once the hot shard's queue starts
-/// backing up — evidence the unweighted policy is blind to.
-/// `pressure_weight = 0` reproduces the base policy exactly.
-///
-/// The `min_samples` gate applies to the **raw** window (pressure must
-/// never conjure evidence out of an idle dataplane), and `decay` is
-/// the per-judged-decision exponential retention the control loop
-/// applies instead of destructively draining windows (see
-/// [`crate::shard::control`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WeightedRebalancePolicy {
-    /// Threshold + window core. The imbalance test runs on *effective*
-    /// (pressure-weighted) loads; `min_samples` gates on raw counts.
-    pub base: RebalancePolicy,
-    /// How strongly ring pressure inflates a shard's buckets: a shard
-    /// riding its full ring weighs `1 + pressure_weight` per packet.
-    /// `0.0` ≡ the unweighted base policy.
-    pub pressure_weight: f64,
-    /// Fraction of a judged-but-declined window retained per decision
-    /// (`1.0` = never fades). Applied by the control loop via
-    /// `BucketLoad::decay`, not by [`Self::plan`] itself.
-    pub decay: f64,
-}
-
-impl Default for WeightedRebalancePolicy {
-    fn default() -> Self {
-        Self {
-            base: RebalancePolicy::default(),
-            pressure_weight: 1.0,
-            decay: 0.5,
-        }
-    }
-}
-
-impl WeightedRebalancePolicy {
-    /// Inflates a raw per-bucket window by per-shard queueing pressure
-    /// under `current` (see the type docs for the formula). `loads`
-    /// entries are matched to shards by their `shard` field; missing
-    /// shards (or an empty slice, as the deterministic sim passes)
-    /// contribute zero pressure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
-    pub fn effective_window(
-        &self,
-        per_bucket: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        current: &BucketMap,
-    ) -> Vec<u64> {
-        assert_eq!(per_bucket.len(), RSS_BUCKETS, "one load per bucket");
-        let cap = ring_capacity.max(1) as f64;
-        let mut factor = vec![1.0f64; current.shards()];
-        if self.pressure_weight > 0.0 {
-            for load in loads {
-                if let Some(f) = factor.get_mut(load.shard) {
-                    let occupancy = load.ring_high_water.max(load.in_flight) as f64;
-                    *f = 1.0 + self.pressure_weight * (occupancy / cap).min(1.0);
-                }
-            }
-        }
-        per_bucket
-            .iter()
-            .enumerate()
-            .map(|(bucket, &count)| {
-                (count as f64 * factor[current.shard_of_bucket(bucket)]).round() as u64
-            })
-            .collect()
-    }
-
-    /// Plans a migration from one raw observation window plus the
-    /// per-shard pressure meters, or `None` when rebalancing is not
-    /// warranted. Semantics are [`RebalancePolicy::plan`] run over the
-    /// [`Self::effective_window`] — the plan's `imbalance_before`/
-    /// `imbalance_after` are therefore in effective (weighted) units —
-    /// except that the `min_samples` gate judges the raw counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
-    pub fn plan(
-        &self,
-        per_bucket: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        current: &BucketMap,
-    ) -> Option<RebalancePlan> {
-        let raw_total: u64 = per_bucket.iter().sum();
-        if raw_total < self.base.min_samples.max(1) {
-            return None;
-        }
-        let effective = self.effective_window(per_bucket, loads, ring_capacity, current);
-        let judge = RebalancePolicy {
-            max_imbalance: self.base.max_imbalance,
-            min_samples: 1, // raw gate already passed
-        };
-        judge.plan(&effective, current)
-    }
-
-    /// Upgrades this policy with sketch-based heavy-hitter evidence:
-    /// the returned [`HeavyHitterPolicy`] blends per-flow *byte*
-    /// weight into the per-bucket window before planning. `blend` is
-    /// clamped to `[0, 1]`; `0.0` reproduces this policy exactly.
-    pub fn with_heavy_hitters(self, blend: f64) -> HeavyHitterPolicy {
-        HeavyHitterPolicy { base: self, blend }
-    }
-}
-
-/// A [`WeightedRebalancePolicy`] that additionally weighs **true
-/// elephant flows** via sketch evidence.
-///
-/// `BucketLoad` counts packets: every packet weighs one, so a bucket
-/// holding one elephant flow plus mice is indistinguishable from a
-/// bucket of mice alone whenever packet *counts* are uniform — the
-/// uniform policy provably holds while one shard carries most of the
-/// **bytes**. The per-shard [`netkit_packet::sketch::FlowSketch`]es
-/// meter bytes per flow; their merged top-k
-/// ([`netkit_packet::sketch::SpaceSaving::merge`]) is the evidence
-/// this policy folds in:
-///
-/// ```text
-/// hh[b]       = Σ weight of heavy hitters whose hash buckets to b
-/// scaled[b]   = hh[b] × (Σ effective / Σ hh)      (mass-normalised)
-/// combined[b] = (1 − blend) × effective[b] + blend × scaled[b]
-/// ```
-///
-/// The byte evidence is normalised to the packet window's total mass
-/// before blending, so `blend` interpolates between two *unit-free*
-/// load shapes: `0.0` plans purely on pressure-weighted packets,
-/// `1.0` purely on heavy-hitter bytes. The `min_samples` gate still
-/// judges the raw packet window (sketches never conjure evidence out
-/// of an idle dataplane), and bucket-granularity constraints are
-/// unchanged — the elephant's own bucket remains indivisible; the
-/// recovery comes from migrating the mice buckets *colocated* with
-/// it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HeavyHitterPolicy {
-    /// The pressure-weighted policy supplying the packet-side window.
-    pub base: WeightedRebalancePolicy,
-    /// Byte-evidence blend factor in `[0, 1]`.
-    pub blend: f64,
-}
-
-impl HeavyHitterPolicy {
-    /// The blended per-bucket window (see the type docs). With
-    /// `blend == 0`, no heavy hitters, or an empty packet window this
-    /// is exactly the base policy's effective window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
-    pub fn blended_window(
-        &self,
-        per_bucket: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        heavy: &[HeavyHitter],
-        current: &BucketMap,
-    ) -> Vec<u64> {
-        let effective = self
-            .base
-            .effective_window(per_bucket, loads, ring_capacity, current);
-        let blend = self.blend.clamp(0.0, 1.0);
-        if blend == 0.0 || heavy.is_empty() {
-            return effective;
-        }
-        let mut hh = vec![0u64; RSS_BUCKETS];
-        for h in heavy {
-            hh[bucket_of(h.hash)] += h.weight;
-        }
-        let hh_total: u64 = hh.iter().sum();
-        let eff_total: u64 = effective.iter().sum();
-        if hh_total == 0 || eff_total == 0 {
-            return effective;
-        }
-        let scale = eff_total as f64 / hh_total as f64;
-        effective
-            .iter()
-            .zip(&hh)
-            .map(|(&eff, &bytes)| {
-                ((1.0 - blend) * eff as f64 + blend * bytes as f64 * scale).round() as u64
-            })
-            .collect()
-    }
-
-    /// Plans a migration over the blended window, or `None` when
-    /// rebalancing is not warranted. The `min_samples` gate judges the
-    /// **raw packet** window, exactly like
-    /// [`WeightedRebalancePolicy::plan`]; the plan's imbalance figures
-    /// are in blended units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_bucket` does not hold [`RSS_BUCKETS`] entries.
-    pub fn plan(
-        &self,
-        per_bucket: &[u64],
-        loads: &[ShardLoad],
-        ring_capacity: usize,
-        heavy: &[HeavyHitter],
-        current: &BucketMap,
-    ) -> Option<RebalancePlan> {
-        let raw_total: u64 = per_bucket.iter().sum();
-        if raw_total < self.base.base.min_samples.max(1) {
-            return None;
-        }
-        let blended = self.blended_window(per_bucket, loads, ring_capacity, heavy, current);
-        let judge = RebalancePolicy {
-            max_imbalance: self.base.base.max_imbalance,
-            min_samples: 1, // raw gate already passed
-        };
-        judge.plan(&blended, current)
-    }
-}
-
 /// What a completed migration did — returned by
-/// `ShardedPipeline::install_bucket_map` and `rebalance`.
+/// `ShardedPipeline::install_bucket_map` and `control_turn`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Buckets whose assignment changed.
@@ -421,6 +306,7 @@ pub struct MigrationReport {
 
 #[cfg(test)]
 mod tests {
+    use super::super::control::{ControlDecision, RebalanceController};
     use super::*;
 
     fn loads(entries: &[(usize, u64)]) -> Vec<u64> {
@@ -429,6 +315,16 @@ mod tests {
             v[bucket] = load;
         }
         v
+    }
+
+    /// A policy with threshold `max_imbalance`, no pressure weighting.
+    fn threshold(max_imbalance: f64) -> RebalancePolicy {
+        RebalancePolicy {
+            max_imbalance,
+            exit: max_imbalance,
+            pressure_weight: 0.0,
+            ..RebalancePolicy::default()
+        }
     }
 
     #[test]
@@ -443,11 +339,16 @@ mod tests {
 
     #[test]
     fn small_windows_and_single_shard_are_ignored() {
-        let policy = RebalancePolicy::default();
+        let mut ctl = RebalanceController::new(RebalancePolicy::default(), 0);
         let skewed = loads(&[(0, 10), (4, 10)]); // both on shard 0, but tiny
-        assert!(policy.plan(&skewed, &BucketMap::identity(4)).is_none());
+        assert!(matches!(
+            ctl.decide(&skewed, &[], &[], 1024, &BucketMap::identity(4)),
+            ControlDecision::Gathering
+        ));
         let big = loads(&[(0, 1000), (4, 1000)]);
-        assert!(policy.plan(&big, &BucketMap::identity(1)).is_none());
+        assert!(RebalancePolicy::default()
+            .plan(&big, &BucketMap::identity(1))
+            .is_none());
         let empty = loads(&[]);
         assert_eq!(
             RebalancePolicy::imbalance(&empty, &BucketMap::identity(4)),
@@ -484,10 +385,7 @@ mod tests {
 
     #[test]
     fn plans_are_deterministic_and_never_worse() {
-        let policy = RebalancePolicy {
-            max_imbalance: 1.1,
-            min_samples: 1,
-        };
+        let policy = threshold(1.1);
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 70), (2, 40), (4, 30), (1, 10)]);
         let a = policy.plan(&w, &current).expect("imbalanced");
@@ -502,10 +400,7 @@ mod tests {
         // imbalance 4/3 triggers an eager policy, but LPT can only
         // reproduce the same makespan while shuffling bucket 1 to the
         // other shard. Such a plan is all cost, no benefit.
-        let policy = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 1,
-        };
+        let policy = threshold(1.25);
         let mut current = BucketMap::identity(2);
         current.set(0, 0);
         current.set(1, 0);
@@ -531,22 +426,16 @@ mod tests {
 
     #[test]
     fn zero_pressure_weight_matches_the_base_policy() {
-        let policy = WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.1,
-                min_samples: 1,
-            },
-            pressure_weight: 0.0,
-            decay: 1.0,
-        };
+        let policy = threshold(1.1);
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 70), (2, 40), (4, 30), (1, 10)]);
-        // Even under heavy reported pressure the effective window is
-        // the raw window, and the plan matches the base policy's.
+        // Even under heavy reported pressure the judged window is the
+        // raw window, and so is the plan.
         let pressure = [shard_pressure(0, 1024), shard_pressure(1, 0)];
-        assert_eq!(policy.effective_window(&w, &pressure, 1024, &current), w);
-        let weighted = policy.plan(&w, &pressure, 1024, &current).expect("skew");
-        let base = policy.base.plan(&w, &current).expect("skew");
+        let judged = policy.window(&w, &pressure, &[], 1024, &current);
+        assert_eq!(judged, w);
+        let weighted = policy.plan(&judged, &current).expect("skew");
+        let base = policy.plan(&w, &current).expect("skew");
         assert_eq!(weighted.map, base.map);
         assert_eq!(weighted.moved, base.moved);
     }
@@ -558,24 +447,21 @@ mod tests {
         // threshold, so the unweighted policy holds forever.
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 40), (2, 20), (1, 40)]);
-        let base = RebalancePolicy {
-            max_imbalance: 1.25,
-            min_samples: 32,
-        };
+        let base = threshold(1.25);
         assert!(base.plan(&w, &current).is_none(), "1.2 < 1.25: no plan");
 
         // But shard 0's ring rides its capacity while shard 1 idles:
-        // per-packet, shard 0's buckets hurt twice as much. Effective
+        // per-packet, shard 0's buckets hurt twice as much. Judged
         // window [80, 40, 40] → imbalance 1.5 → the mice (bucket 2)
         // move off the drowning shard.
-        let policy = WeightedRebalancePolicy {
-            base,
+        let policy = RebalancePolicy {
             pressure_weight: 1.0,
-            decay: 0.5,
+            ..base
         };
         let pressure = [shard_pressure(0, 1024), shard_pressure(1, 2)];
+        let judged = policy.window(&w, &pressure, &[], 1024, &current);
         let plan = policy
-            .plan(&w, &pressure, 1024, &current)
+            .plan(&judged, &current)
             .expect("pressure must tip the decision");
         assert!(plan.imbalance_before > 1.25, "{}", plan.imbalance_before);
         assert!(plan.imbalance_after < plan.imbalance_before);
@@ -587,14 +473,20 @@ mod tests {
     fn pressure_never_conjures_evidence_from_an_idle_window() {
         // min_samples gates on RAW counts: a tiny window stays a tiny
         // window no matter how hard the rings are reported to back up.
-        let policy = WeightedRebalancePolicy::default(); // min_samples 64
+        let mut ctl = RebalanceController::new(RebalancePolicy::default(), 0); // min_samples 64
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 10), (2, 10)]);
         let pressure = [shard_pressure(0, 4096), shard_pressure(1, 0)];
-        assert!(policy.plan(&w, &pressure, 64, &current).is_none());
+        assert!(matches!(
+            ctl.decide(&w, &pressure, &[], 64, &current),
+            ControlDecision::Gathering
+        ));
         // Missing / short pressure slices degrade to factor 1.0.
         let big = loads(&[(0, 500), (2, 300), (1, 100)]);
-        assert_eq!(policy.effective_window(&big, &[], 64, &current), big);
+        assert_eq!(
+            RebalancePolicy::default().window(&big, &[], &[], 64, &current),
+            big
+        );
     }
 
     fn hitter(bucket: usize, weight: u64) -> HeavyHitter {
@@ -607,28 +499,20 @@ mod tests {
 
     #[test]
     fn zero_blend_reproduces_the_weighted_policy() {
-        let base = WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.1,
-                min_samples: 1,
-            },
+        let policy = RebalancePolicy {
             pressure_weight: 1.0,
-            decay: 0.5,
+            ..threshold(1.1)
         };
-        let hh = base.with_heavy_hitters(0.0);
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 70), (2, 40), (4, 30), (1, 10)]);
         let pressure = [shard_pressure(0, 512), shard_pressure(1, 16)];
         // Even with loud byte evidence, blend 0 ignores it entirely.
         let evidence = [hitter(1, 1_000_000)];
-        assert_eq!(
-            hh.blended_window(&w, &pressure, 1024, &evidence, &current),
-            base.effective_window(&w, &pressure, 1024, &current)
-        );
-        let a = hh
-            .plan(&w, &pressure, 1024, &evidence, &current)
-            .expect("skew");
-        let b = base.plan(&w, &pressure, 1024, &current).expect("skew");
+        let with = policy.window(&w, &pressure, &evidence, 1024, &current);
+        let without = policy.window(&w, &pressure, &[], 1024, &current);
+        assert_eq!(with, without);
+        let a = policy.plan(&with, &current).expect("skew");
+        let b = policy.plan(&without, &current).expect("skew");
         assert_eq!(a.map, b.map);
         assert_eq!(a.moved, b.moved);
     }
@@ -640,51 +524,32 @@ mod tests {
         // shard 1 — 32/32, imbalance 1.0. The packet-only policy
         // provably has nothing to act on.
         let current = BucketMap::identity(2);
-        let w = loads(&[
-            (0, 8),
-            (1, 8),
-            (2, 8),
-            (3, 8),
-            (4, 8),
-            (5, 8),
-            (6, 8),
-            (7, 8),
-        ]);
-        let base = WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 32,
-            },
-            pressure_weight: 0.0,
-            decay: 0.5,
-        };
+        let w = loads(&(0..8).map(|b| (b, 8)).collect::<Vec<_>>());
+        let base = threshold(1.25);
         assert!(
-            base.plan(&w, &[], 1024, &current).is_none(),
+            base.plan(&base.window(&w, &[], &[], 1024, &current), &current)
+                .is_none(),
             "uniform packets: the packet-only policy must hold"
         );
 
         // But the bytes are anything but uniform: every even bucket
         // carries a 2000-byte elephant while odd buckets carry 500
         // bytes of mice. Shard 0 owns 8000 of 10000 bytes.
-        let evidence = [
-            hitter(0, 2_000),
-            hitter(1, 500),
-            hitter(2, 2_000),
-            hitter(3, 500),
-            hitter(4, 2_000),
-            hitter(5, 500),
-            hitter(6, 2_000),
-            hitter(7, 500),
-        ];
-        let hh = base.with_heavy_hitters(1.0);
-        let blended = hh.blended_window(&w, &[], 1024, &evidence, &current);
+        let evidence: Vec<_> = (0..8)
+            .map(|b| hitter(b, if b % 2 == 0 { 2_000 } else { 500 }))
+            .collect();
+        let hh = RebalancePolicy {
+            heavy_blend: 1.0,
+            ..base
+        };
+        let blended = hh.window(&w, &[], &evidence, 1024, &current);
         let shard_bytes = current.per_shard_load(&blended);
         assert!(
             shard_bytes[0] > 3 * shard_bytes[1],
             "blended window must surface the byte skew: {shard_bytes:?}"
         );
         let plan = hh
-            .plan(&w, &[], 1024, &evidence, &current)
+            .plan(&blended, &current)
             .expect("byte evidence must trigger a plan");
         assert!(plan.imbalance_after < plan.imbalance_before);
         // LPT pairs each elephant with mice: perfect 50/50 in bytes.
@@ -694,17 +559,22 @@ mod tests {
 
     #[test]
     fn empty_or_zero_evidence_degrades_to_the_base_window() {
-        let hh = WeightedRebalancePolicy::default().with_heavy_hitters(0.8);
+        let hh = RebalancePolicy {
+            heavy_blend: 0.8,
+            ..RebalancePolicy::default()
+        };
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 500), (2, 300), (1, 100)]);
-        assert_eq!(hh.blended_window(&w, &[], 64, &[], &current), w);
-        assert_eq!(hh.blended_window(&w, &[], 64, &[hitter(3, 0)], &current), w);
+        assert_eq!(hh.window(&w, &[], &[], 64, &current), w);
+        assert_eq!(hh.window(&w, &[], &[hitter(3, 0)], 64, &current), w);
         // The min_samples gate still judges raw packets: byte evidence
         // cannot conjure a plan out of an idle dataplane.
         let idle = loads(&[(0, 10), (2, 10)]);
-        assert!(hh
-            .plan(&idle, &[], 64, &[hitter(0, 1_000_000)], &current)
-            .is_none());
+        let mut ctl = RebalanceController::new(hh, 0);
+        assert!(matches!(
+            ctl.decide(&idle, &[], &[hitter(0, 1_000_000)], 64, &current),
+            ControlDecision::Gathering
+        ));
     }
 
     #[test]
@@ -714,13 +584,9 @@ mod tests {
         let current = BucketMap::identity(2);
         let w = loads(&[(0, 60), (1, 40)]);
         assert!(RebalancePolicy::default().plan(&w, &current).is_none());
-        let eager = RebalancePolicy {
-            max_imbalance: 1.1,
-            min_samples: 1,
-        };
         // Triggered, but a single indivisible bucket per shard cannot
         // improve: LPT reproduces a 60/40 split and the 60-bucket's
         // home pins it (no move -> no plan).
-        assert!(eager.plan(&w, &current).is_none());
+        assert!(threshold(1.1).plan(&w, &current).is_none());
     }
 }

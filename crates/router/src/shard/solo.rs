@@ -246,7 +246,7 @@ mod tests {
     use super::*;
     use crate::api::IPacketPush;
     use crate::api::{register_packet_interfaces, BatchResult, PushError, PushResult};
-    use crate::shard::{RebalancePolicy, WeightedRebalancePolicy};
+    use crate::shard::RebalancePolicy;
     use netkit_packet::flow::FlowKey;
     use netkit_packet::packet::{Packet, PacketBuilder};
     use opencom::capsule::Capsule;
@@ -355,13 +355,10 @@ mod tests {
     fn control_turn_migrates_a_colocated_window() {
         let (mut pipe, _log) = recorder_pipe(2);
         let mut ctl = RebalanceController::new(
-            WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 8,
-                },
+            RebalancePolicy {
+                min_samples: 8,
                 pressure_weight: 0.0,
-                decay: 0.5,
+                ..RebalancePolicy::default() // max_imbalance 1.25, decay 0.5
             },
             0,
         );

@@ -90,7 +90,7 @@ fn edge_desc() -> PipelineDesc {
         )
         .pin(0, 1)
         .pin(7, 0)
-        .control("hysteresis", &[("enter", 1.5.into()), ("exit", 1.2.into())])
+        .control(&[("max_imbalance", 1.5.into()), ("exit", 1.2.into())])
 }
 
 /// Labelled fan-out through a classifier with a filter table.
@@ -187,7 +187,7 @@ fn structural_patch_render_is_stable() {
             },
         )
         .pin(0, 1)
-        .control("ewma", &[("alpha", 0.25.into())]);
+        .control(&[("decay", 0.25.into())]);
     check("patch_structural", &diff(&v1, &v2).render());
 }
 

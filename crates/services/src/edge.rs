@@ -75,8 +75,9 @@ impl Default for EdgeProfile {
 }
 
 /// The canonical stateful-edge description:
-/// `guard → conntrack → nat44 → egress counter → sink`, with a
-/// hysteresis decision core driving shard rebalancing.
+/// `guard → conntrack → nat44 → egress counter → sink`, with a banded
+/// rebalance policy: a plan only after two consecutive windows over
+/// 1.5× imbalance, re-armed once a window falls under 1.2×.
 ///
 /// The description validates stand-alone (built-in element kinds
 /// only), renders deterministically, and is the shared topology the
@@ -113,14 +114,12 @@ pub fn stateful_edge_desc(p: &EdgeProfile) -> PipelineDesc {
         .edge("conntrack", "nat")
         .edge("nat", "egress")
         .edge("egress", "sink")
-        .control(
-            "hysteresis",
-            &[
-                ("enter", 1.5.into()),
-                ("exit", 1.2.into()),
-                ("arm", 2u64.into()),
-            ],
-        )
+        .control(&[
+            ("max_imbalance", 1.5.into()),
+            ("exit", 1.2.into()),
+            ("arm", 2u64.into()),
+            ("pressure_weight", 0.5.into()),
+        ])
 }
 
 /// Compiles the stateful edge to a single-threaded [`SoloPipeline`]
@@ -217,6 +216,8 @@ mod tests {
             .build_solo(&desc, ShardSpec::new(1), Arc::new(ResourceManager::new()))
             .unwrap();
         let ctl = binding.controller().unwrap().expect("control block set");
-        assert_eq!(ctl.core_name(), "hysteresis");
+        let p = ctl.policy();
+        let band = (p.max_imbalance, p.exit, p.arm_ticks, p.heavy_blend);
+        assert_eq!(band, (1.5, 1.2, 2, 0.0), "[1.2, 1.5] band, armed after two");
     }
 }

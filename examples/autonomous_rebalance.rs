@@ -25,9 +25,7 @@ use netkit::packet::packet::PacketBuilder;
 use netkit::router::api::register_packet_interfaces;
 use netkit::router::elements::{Counter, Discard};
 use netkit::router::shard::control::{ControlConfig, ControlLoop};
-use netkit::router::shard::{
-    RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
-};
+use netkit::router::shard::{RebalancePolicy, ShardGraph, ShardedPipeline};
 use netkit::router::IPACKET_PUSH;
 
 const WORKERS: usize = 4;
@@ -58,19 +56,17 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
         Arc::clone(&pipe),
         Vec::new(),
         ControlConfig {
-            policy: WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 64,
-                },
+            policy: RebalancePolicy {
+                max_imbalance: 1.25,
+                min_samples: 64,
                 pressure_weight: 1.0,
                 decay: 0.75,
+                ..RebalancePolicy::default()
             },
             tick: Duration::from_millis(1),
             max_tick: Duration::from_millis(16),
             backoff: 2.0,
             cooldown_ticks: 4,
-            heavy_blend: 0.0,
         },
         Arc::clone(&rm),
     )?;

@@ -29,8 +29,8 @@ fn burst(flows: u16) -> PacketBatch {
 
 fn main() -> Result<(), netkit::opencom::error::Error> {
     // 1. The topology as data: guard -> conntrack -> NAT44 -> counter
-    //    -> discard, plus a control section picking the EWMA decision
-    //    core for the autonomous rebalance loop.
+    //    -> discard, plus a control section banding the autonomous
+    //    rebalance loop: plan only after three windows over 1.4x.
     let v1 = PipelineDesc::new("declarative-edge")
         .element_with("guard", "guard", &[("byte_threshold", (4u64 << 20).into())])
         .element_with("ct", "conntrack", &[("capacity", 4_096u64.into())])
@@ -49,7 +49,11 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
         .edge("ct", "nat")
         .edge("nat", "egress")
         .edge("egress", "sink")
-        .control("ewma", &[("alpha", 0.3.into())]);
+        .control(&[
+            ("max_imbalance", 1.4.into()),
+            ("exit", 1.2.into()),
+            ("arm", 3u64.into()),
+        ]);
     println!("-- v1 --------------------------------------------------");
     print!("{}", v1.render());
 
@@ -62,7 +66,11 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
         Arc::new(ResourceManager::new()),
     )?;
     if let Some(ctl) = binding.controller()? {
-        println!("decision core: {}", ctl.core_name());
+        let p = ctl.policy();
+        println!(
+            "rebalance band: [{}, {}], armed after {} window(s)",
+            p.exit, p.max_imbalance, p.arm_ticks
+        );
     }
 
     for _ in 0..8 {
@@ -104,7 +112,11 @@ fn main() -> Result<(), netkit::opencom::error::Error> {
         .edge("guard", "ct")
         .edge("ct", "egress")
         .edge("egress", "sink")
-        .control("ewma", &[("alpha", 0.3.into())]);
+        .control(&[
+            ("max_imbalance", 1.4.into()),
+            ("exit", 1.2.into()),
+            ("arm", 3u64.into()),
+        ]);
     let patch = binding.diff_to(&v3)?;
     println!(
         "-- diff v2 -> v3 (structural ops: {}) ------------------",

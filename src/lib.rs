@@ -92,8 +92,8 @@
 //! [`router::shard::control::ControlLoop`] closes that loop with no
 //! external caller: a supervised periodic task
 //! ([`kernel::task::PeriodicTask`]) peeks the decay-based observation
-//! windows, weighs ring pressure into the decision
-//! ([`router::shard::WeightedRebalancePolicy`]), backs off while the
+//! windows, judges them with one [`router::shard::RebalancePolicy`]
+//! (ring pressure, byte evidence, a hysteresis band), backs off while the
 //! dataplane is balanced, and migrates — rate-capped — when it is not
 //! (`tests/autonomous_control_soak.rs`,
 //! `examples/autonomous_rebalance.rs`). The zero-copy story

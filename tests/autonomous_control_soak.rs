@@ -43,9 +43,7 @@ use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::packet::steer::BucketMap;
 use netkit::router::api::{register_packet_interfaces, IPacketPush, PushResult};
 use netkit::router::shard::control::{ControlConfig, ControlLoop};
-use netkit::router::shard::{
-    RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
-};
+use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline};
 use parking_lot::Mutex;
 
 const WORKERS: usize = 4;
@@ -159,19 +157,17 @@ fn autonomous_loop_recovers_mid_run_skew() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let (pipe, rm) = recorder_pipeline("auto-e2e", &log);
     let cfg = ControlConfig {
-        policy: WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 64,
-            },
+        policy: RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples: 64,
             pressure_weight: 1.0,
             decay: 0.75,
+            ..RebalancePolicy::default()
         },
         tick: Duration::from_millis(1),
         max_tick: Duration::from_millis(8),
         backoff: 2.0,
         cooldown_ticks: 2,
-        heavy_blend: 0.0,
     };
     let ctl = ControlLoop::spawn(
         "auto-e2e-control",
@@ -310,19 +306,17 @@ fn control_loop_soak_across_shifting_elephants() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let (pipe, rm) = recorder_pipeline("auto-soak", &log);
     let cfg = ControlConfig {
-        policy: WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 48,
-            },
+        policy: RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples: 48,
             pressure_weight: 1.0,
             decay: 0.75,
+            ..RebalancePolicy::default()
         },
         tick: Duration::from_millis(1),
         max_tick: Duration::from_millis(4),
         backoff: 2.0,
         cooldown_ticks: 1,
-        heavy_blend: 0.0,
     };
     let ctl = ControlLoop::spawn(
         "auto-soak-control",
@@ -458,13 +452,10 @@ fn sim_control_run() -> SimRunHistory {
     let node = sim.add_node(Box::new(node));
 
     let mut ctl = RebalanceController::new(
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 48,
-            },
-            pressure_weight: 0.0, // the sim models no ring pressure
-            decay: 0.5,
+        RebalancePolicy {
+            min_samples: 48,
+            pressure_weight: 0.0,         // the sim models no ring pressure
+            ..RebalancePolicy::default()  // max_imbalance 1.25, decay 0.5
         },
         1,
     );

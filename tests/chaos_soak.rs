@@ -44,9 +44,7 @@ use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::packet::steer::BucketMap;
 use netkit::router::api::{register_packet_interfaces, BatchResult, IPacketPush, PushResult};
 use netkit::router::shard::control::{ControlConfig, ControlLoop};
-use netkit::router::shard::{
-    RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
-};
+use netkit::router::shard::{RebalancePolicy, ShardGraph, ShardedPipeline};
 use parking_lot::Mutex;
 
 const WORKERS: usize = 4;
@@ -209,19 +207,15 @@ fn chaos_round(seed: u64) -> u64 {
         Arc::clone(&pipe),
         Vec::new(),
         ControlConfig {
-            policy: WeightedRebalancePolicy {
-                base: RebalancePolicy {
-                    max_imbalance: 1.25,
-                    min_samples: 1 << 20, // effectively: health turns only
-                },
+            policy: RebalancePolicy {
+                min_samples: 1 << 20, // effectively: health turns only
                 pressure_weight: 0.0,
-                decay: 0.5,
+                ..RebalancePolicy::default() // max_imbalance 1.25, decay 0.5
             },
             tick: Duration::from_millis(1),
             max_tick: Duration::from_millis(8),
             backoff: 2.0,
             cooldown_ticks: 1,
-            heavy_blend: 0.0,
         },
         Arc::clone(&rm),
     )

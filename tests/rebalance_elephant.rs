@@ -39,9 +39,7 @@ use netkit::packet::batch::PacketBatch;
 use netkit::packet::flow::FlowKey;
 use netkit::packet::packet::{Packet, PacketBuilder};
 use netkit::router::api::{register_packet_interfaces, IPacketPush, PushResult};
-use netkit::router::shard::{
-    RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline, WeightedRebalancePolicy,
-};
+use netkit::router::shard::{RebalanceController, RebalancePolicy, ShardGraph, ShardedPipeline};
 use parking_lot::Mutex;
 
 const WORKERS: usize = 4;
@@ -180,10 +178,10 @@ fn rebalanced_pipeline_is_equivalent_and_recovers_load() {
     reb_pipe.flush(); // close the profiling window
 
     let mut ctl = RebalanceController::new(
-        WeightedRebalancePolicy {
-            base: RebalancePolicy::default(),
+        RebalancePolicy {
             pressure_weight: 0.0,
             decay: 1.0,
+            ..RebalancePolicy::default()
         },
         0,
     );

@@ -27,7 +27,7 @@ use netkit_router::api::{IPacketPush, PushError, PushResult, IPACKET_PUSH};
 use netkit_router::flow::ConnTracker;
 use netkit_router::shard::{
     DropStats, MigrationReport, RebalanceController, RebalancePlan, RebalancePolicy, ShardGraph,
-    ShardedPipeline, SoloPipeline, WeightedRebalancePolicy,
+    ShardedPipeline, SoloPipeline,
 };
 use netkit_sim::pipeline::{EgressCollector, PipelineNode, RouteAction};
 use netkit_sim::traffic::{CbrGen, TrafficGen};
@@ -351,17 +351,16 @@ enum Turn {
 
 fn controller() -> RebalanceController {
     RebalanceController::new(
-        WeightedRebalancePolicy {
-            base: RebalancePolicy {
-                max_imbalance: 1.25,
-                min_samples: 96,
-            },
+        RebalancePolicy {
+            max_imbalance: 1.25,
+            min_samples: 96,
             pressure_weight: 0.0,
+            heavy_blend: 0.5,
             decay: 0.5,
+            ..RebalancePolicy::default()
         },
         1,
     )
-    .with_heavy_hitters(0.5)
 }
 
 /// Classifies the turn that just ran from its result and the
